@@ -31,7 +31,7 @@ def _usable_cores() -> int:
 
 
 WORKERS = 4
-PARALLEL_BACKENDS = ("thread", "process")
+PARALLEL_BACKENDS = ("process",)
 
 
 class TestShardedThroughput:

@@ -16,9 +16,9 @@ from _example_utils import scaled
 from repro.core.base import StreamingConfig
 from repro.core.driver import CachedCoresetTreeClusterer
 from repro.extensions.decay import DecayedCoresetClusterer, SlidingWindowClusterer
-from repro.extensions.distributed import DistributedCoordinator
 from repro.extensions.kmedian import KMedianCachedClusterer, KMedianConfig, kmedian_cost
 from repro.kmeans.cost import kmeans_cost
+from repro.parallel import ShardedEngine
 
 
 def kmedian_demo() -> None:
@@ -77,25 +77,25 @@ def distributed_demo() -> None:
     centers = rng.normal(scale=30.0, size=(6, 8))
     points = centers[rng.integers(0, 6, n)] + rng.normal(size=(n, 8))
 
-    coordinator = DistributedCoordinator(StreamingConfig(k=6, seed=0), num_shards=4)
-    coordinator.insert_many(points)
-    result = coordinator.query()
+    # The serial backend runs every shard inline: the deterministic reference.
+    with ShardedEngine(StreamingConfig(k=6, seed=0), num_shards=4) as engine:
+        engine.insert_batch(points)
+        result = engine.query()
+        print("== distributed streams (4 shards, round-robin routing) ==")
+        print(f"points per shard          : {engine.shard_loads()}")
+        print(f"global clustering cost    : {kmeans_cost(points, result.centers):.1f}")
+        print(f"coreset points merged     : {result.coreset_points}")
+        print(f"total stored across shards: {engine.stored_points()}")
 
-    print("== distributed streams (4 shards, round-robin routing) ==")
-    print(f"points per shard          : {coordinator.shard_loads()}")
-    print(f"global clustering cost    : {kmeans_cost(points, result.centers):.1f}")
-    print(f"coreset points merged     : {result.coreset_points}")
-    print(f"total stored across shards: {coordinator.stored_points()}")
-
-    # The same shards on a real multi-core backend: bit-identical answers
+    # The same shards in one worker process each: bit-identical answers
     # (routing, queues, and merge randomness are all deterministic).
-    with DistributedCoordinator(
-        StreamingConfig(k=6, seed=0), num_shards=4, backend="thread"
+    with ShardedEngine(
+        StreamingConfig(k=6, seed=0), num_shards=4, backend="process"
     ) as parallel:
-        parallel.insert_many(points)
+        parallel.insert_batch(points)
         parallel_result = parallel.query()
     match = bool(np.array_equal(result.centers, parallel_result.centers))
-    print(f"thread backend matches serial simulation bitwise: {match}")
+    print(f"process backend matches serial backend bitwise: {match}")
 
 
 def main() -> None:

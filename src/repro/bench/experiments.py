@@ -339,7 +339,7 @@ def multi_k_query_costs(
 def scaling_profile(
     points: np.ndarray,
     shard_counts: tuple[int, ...] = (1, 2, 4),
-    backends: tuple[str, ...] = ("thread",),
+    backends: tuple[str, ...] = ("process",),
     algorithm: str = "cc",
     k: int = 20,
     coreset_size: int | None = None,

@@ -55,9 +55,6 @@ def make_algorithm(
     shards: int = 1,
     backend: str = "serial",
     routing: str = "round_robin",
-    auto_recover: bool = False,
-    recovery_interval: int = 4096,
-    max_restarts: int = 2,
     **options,
 ) -> StreamingClusterer:
     """Instantiate a streaming clusterer by its paper name.
@@ -89,9 +86,6 @@ def make_algorithm(
         Executor backend and routing policy for the sharded engine (see
         :class:`~repro.parallel.engine.ShardedEngine`); ignored when
         ``shards == 1``.
-    auto_recover / recovery_interval / max_restarts:
-        Crash-recovery knobs of the sharded engine (journaled replay of
-        killed workers); ignored when ``shards == 1``.
     """
     registry = default_registry()
     spec = registry.get(name)
@@ -110,9 +104,6 @@ def make_algorithm(
         shards=shards,
         backend=backend,
         routing=routing,
-        auto_recover=auto_recover,
-        recovery_interval=recovery_interval,
-        max_restarts=max_restarts,
         **merged,
     )
 
@@ -206,9 +197,6 @@ class RunResult:
     reshards:
         :class:`~repro.parallel.elastic.ReshardReport` for every live
         reshard the run performed (``reshard_at``), in stream order.
-    recoveries:
-        :class:`~repro.parallel.elastic.RecoveryEvent` for every automatic
-        worker recovery the engine performed during the run.
     """
 
     algorithm: str
@@ -223,7 +211,6 @@ class RunResult:
     checkpoints: list[Path] = field(default_factory=list)
     checkpoint_seconds: float = 0.0
     reshards: list = field(default_factory=list)
-    recoveries: list = field(default_factory=list)
 
 
 @dataclass
@@ -300,12 +287,6 @@ class StreamingExperiment:
         block boundaries, exactly like checkpoints), the sharded engine is
         resharded to the mapped shard count.  Requires ``shards > 1``; the
         reports land in :attr:`RunResult.reshards`.
-    auto_recover / recovery_interval / max_restarts:
-        Crash-recovery knobs forwarded to the sharded engine: journal
-        routed blocks, refresh each shard's recovery point every
-        ``recovery_interval`` points, and transparently restart a dead
-        worker up to ``max_restarts`` times (recoveries land in
-        :attr:`RunResult.recoveries`).
     """
 
     algorithm: str
@@ -328,9 +309,6 @@ class StreamingExperiment:
     resume_skip_ingested: bool = False
     stream_annotations: dict | None = None
     reshard_at: dict[int, int] | None = None
-    auto_recover: bool = False
-    recovery_interval: int = 4096
-    max_restarts: int = 2
 
 
 def _resume_algorithm(experiment: StreamingExperiment) -> StreamingClusterer:
@@ -431,9 +409,6 @@ def run_experiment(experiment: StreamingExperiment, points: np.ndarray) -> RunRe
             shards=experiment.shards,
             backend=experiment.backend,
             routing=experiment.routing,
-            auto_recover=experiment.auto_recover,
-            recovery_interval=experiment.recovery_interval,
-            max_restarts=experiment.max_restarts,
             **experiment.algorithm_options,
         )
     try:
@@ -593,5 +568,4 @@ def _replay(
         checkpoints=checkpoints,
         checkpoint_seconds=checkpoint_seconds,
         reshards=reshard_reports,
-        recoveries=list(getattr(algorithm, "recovery_events", ())),
     )

@@ -184,7 +184,7 @@ def load_checkpoint(
     overrides:
         Runtime overrides forwarded to the restoring class.  The sharded
         engine accepts ``backend=`` (restore a process-backend snapshot onto
-        serial/thread workers and vice versa).
+        the serial backend and vice versa).
 
     Raises
     ------

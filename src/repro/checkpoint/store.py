@@ -23,9 +23,9 @@ The manifest carries a ``fingerprint`` — a SHA-256 over the canonical JSON of
 hand-editing on load and (b) lets a resuming process assert that a checkpoint
 was produced by the same structure configuration it is about to continue
 (``expected_fingerprint``).  Runtime knobs that do not change the maths
-(executor backend, queue depths) live in the separate ``runtime`` section and
-are deliberately *excluded* from the fingerprint, so a snapshot taken on the
-process backend restores onto the thread or serial backend unchanged.
+(the executor backend) live in the separate ``runtime`` section and are
+deliberately *excluded* from the fingerprint, so a snapshot taken on the
+process backend restores onto the serial backend unchanged.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="executor backend for the sharded engine (with --shards > 1)",
     )
@@ -150,27 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
             "stream points have been ingested (repeatable; requires "
             "--shards > 1)"
         ),
-    )
-    run.add_argument(
-        "--auto-recover",
-        action="store_true",
-        help=(
-            "journal routed blocks and transparently restart a crashed shard "
-            "worker from its last recovery point (with --shards > 1 on the "
-            "thread/process backends)"
-        ),
-    )
-    run.add_argument(
-        "--recovery-interval",
-        type=int,
-        default=4096,
-        help="refresh each shard's recovery point every N routed points (with --auto-recover)",
-    )
-    run.add_argument(
-        "--max-restarts",
-        type=int,
-        default=2,
-        help="give up (surface the worker error) after this many restarts of one shard",
     )
     run.add_argument(
         "--checkpoint-to",
@@ -245,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
+        choices=("serial", "process"),
+        default="serial",
         help="executor backend for the sharded ingest plane (with --shards > 1)",
     )
     serve.add_argument(
@@ -396,9 +375,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 routing=args.routing,
                 reshard_at=reshard_at or None,
-                auto_recover=args.auto_recover,
-                recovery_interval=args.recovery_interval,
-                max_restarts=args.max_restarts,
                 checkpoint_to=args.checkpoint_to,
                 checkpoint_interval=args.checkpoint_interval,
                 checkpoint_dir=checkpoint_dir,
@@ -449,13 +425,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 f"  at {report.points_represented} points: "
                 f"{report.old_num_shards} -> {report.new_num_shards} shards "
                 f"(pause {report.pause_seconds * 1e3:.1f} ms)"
-            )
-    if result.recoveries:
-        print("\nWorker recoveries:")
-        for event in result.recoveries:
-            print(
-                f"  shard {event.shard_index}: restart #{event.restarts}, "
-                f"replayed {event.replayed_blocks} blocks / {event.replayed_points} points"
             )
     if result.checkpoints:
         print("\nCheckpoints written:")

@@ -249,9 +249,6 @@ class AlgorithmRegistry:
         shards: int = 1,
         backend: str = "serial",
         routing: str = "round_robin",
-        auto_recover: bool = False,
-        recovery_interval: int = 4096,
-        max_restarts: int = 2,
         **option_overrides,
     ) -> StreamingClusterer:
         """Instantiate an algorithm by name.
@@ -287,9 +284,6 @@ class AlgorithmRegistry:
                 backend=backend,
                 routing=routing,
                 structure=spec.shard_structure,
-                auto_recover=auto_recover,
-                recovery_interval=recovery_interval,
-                max_restarts=max_restarts,
                 **dataclasses.asdict(options),
             )
         return spec.factory(config, options)

@@ -7,8 +7,7 @@ The paper's conclusion lists three natural follow-ups, all implemented here:
   (:mod:`repro.extensions.decay`), plus soft (fuzzy c-means) serving
   (:mod:`repro.extensions.soft`),
 * clustering over distributed / parallel streams (the parallel sharded
-  engine, :mod:`repro.parallel`; the old :mod:`repro.extensions.distributed`
-  wrapper is deprecated and slated for removal).
+  engine, :mod:`repro.parallel`).
 
 All extension algorithms are registered in the
 :class:`~repro.core.registry.AlgorithmRegistry` under the names ``window``,
@@ -30,8 +29,6 @@ __all__ = [
     "DecayedCoresetClusterer",
     "SlidingWindowClusterer",
     "SoftClusteringClusterer",
-    "DistributedCoordinator",
-    "StreamShard",
     "KMedianCachedClusterer",
     "KMedianConfig",
     "kmedian_cost",
@@ -40,12 +37,3 @@ __all__ = [
     "weighted_kmedian",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated names import lazily so `import repro.extensions` does not
-    # fire the DeprecationWarning for users who never touch them.
-    if name in ("DistributedCoordinator", "StreamShard"):
-        from . import distributed
-
-        return getattr(distributed, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

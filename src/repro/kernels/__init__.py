@@ -28,7 +28,7 @@ in the same three numeric primitives, and this package is their single home:
 On the default ``float64`` path, fusion only reorders commutative additions
 and moves results into preallocated buffers — and kernel tiling is a pure
 function of problem shape — so every bit-identity contract of the package
-(batch==point ingestion, snapshot→restore→ingest, serial==thread==process)
+(batch==point ingestion, snapshot→restore→ingest, serial==process)
 holds exactly as before.  (Outputs can differ from *previous releases* in
 the last ulp: BLAS summation order depends on call shapes, and the seeding
 loop now tracks assignments incrementally.)

@@ -1,80 +1,76 @@
 """Executor backends for the sharded ingestion engine.
 
-Three interchangeable executors implement the same small contract —
-``submit`` per-shard insert blocks (ordered, bounded), ``sync`` to a barrier,
-``collect`` per-shard coreset snapshots, ``dump_states``/``load_states`` for
-checkpoint/restore of full shard state, ``close`` idempotently:
+Every shard op — insert a block, collect a coreset snapshot, dump or load
+the shard's state tree, adopt an inherited coreset piece, count stored
+points, sync — goes through one dispatch function, :func:`run_shard_op`.
+Two transports deliver ops to it:
 
 * :class:`SerialBackend` — shards run inline in the caller's thread.  Fully
-  deterministic, zero overhead; the debugging/equivalence reference and the
-  semantics the simulation-era ``DistributedCoordinator`` had.
-* :class:`ThreadBackend` — one worker thread per shard, each behind a bounded
-  :class:`queue.Queue`.  Insert blocks are handed over by reference (zero
-  copy); the vectorized hot loops (GEMM, reductions, sampling) release the
-  GIL inside numpy, so shard merges overlap on multi-core machines.
+  deterministic, zero overhead; the bitwise reference every other transport
+  is tested against.
 * :class:`ProcessBackend` — one worker process per shard.  Point batches are
   copied into a per-shard shared-memory slab ring and announced with a tiny
   ``(slab, slot, rows)`` message, so ndarray payloads are **never pickled**;
   a semaphore over the ring's free slots is what bounds the work queue.
-  Only coreset snapshots (``m`` weighted points) travel back, over one
-  reply pipe per worker — never a queue shared across workers, whose
-  single write lock a killed worker could leave held forever.
+  Only control replies (coreset snapshots, state trees, counters) travel
+  back, over one reply pipe per worker — never a queue shared across
+  workers, whose single write lock a killed worker could leave held forever.
 
-Worker failures never hang the coordinator: a raised exception inside a shard
-is recorded (with its traceback) and re-raised as :class:`ShardWorkerError`
-at the next ``submit``/``sync``/``collect`` call, and ``close`` always leaves
-no live worker threads or processes behind.
-
-Since the elastic-sharding work the contract also has per-shard control ops —
-``dump_state(i)``/``load_state(i, state)`` (single-shard checkpoint
-sub-snapshots), ``adopt(i, payload)`` (hand a shard an inherited coreset
-piece during reshard/migration), and ``restart_shard(i)`` (tear down one
-failed worker and start a fresh one from the original spec; the engine's
-recovery supervisor then restores state and replays the lost queue tail).
-Process-backend control replies are tagged with a per-op sequence number so
-replies from a pre-restart worker incarnation can never satisfy a later
-barrier.
+Both transports expose the same three calls: ``submit(i, block)`` (ordered,
+bounded inserts), ``call(op, args)`` (one control op per addressed shard,
+all in flight at once; returns ``{shard: reply}``) and an idempotent
+``close``.  Worker failures never hang the coordinator: a raised exception
+inside a process worker is recorded (with its traceback) and re-raised as
+:class:`ShardWorkerError` at the next ``submit``/``call``, and ``close``
+always leaves no live worker processes behind.  Recovering a lost worker is
+not the engine's job: the write-ahead journal and
+:class:`~repro.resilience.IngestSupervisor` rebuild the whole engine from a
+checkpoint plus replay.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import multiprocessing as mp
 import time
 import traceback
+from dataclasses import dataclass
 from multiprocessing import connection
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.base import StreamingConfig
-from .shard import ShardSnapshot, StreamShard, make_shard
+from .shard import StreamShard, make_shard
 
 __all__ = [
     "BACKENDS",
     "ShardWorkerError",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
+    "run_shard_op",
 ]
 
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: tuple[str, ...] = ("serial", "process")
 
-# How long submit/sync/collect wait on a stalled worker before giving up.
-# Generous: it only triggers when a worker neither progresses nor reports an
-# error (e.g. it was killed externally), never on a merely busy worker.
+# How long submit/call wait on a stalled worker before giving up.  Generous:
+# it only triggers when a worker neither progresses nor reports an error
+# (e.g. it was killed externally), never on a merely busy worker.
 _STALL_TIMEOUT = 120.0
 
+# Insert slots in each process worker's slab ring.  Acquiring a free slot is
+# what bounds the work queue: the coordinator blocks once a shard is this
+# many blocks behind.
+_QUEUE_DEPTH = 8
+
+# Lower bound on rows per slab slot; a slot holds at least two buckets.
+_MIN_SLOT_ROWS = 1024
+
+# fork is dramatically cheaper and keeps test-local shard factories
+# picklable-by-inheritance; fall back where it is absent.
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
 ShardFactory = Callable[..., StreamShard]
-
-
-def _require_state_count(got: int, expected: int) -> None:
-    """Guard every backend's ``load_states``: zip truncation would silently
-    leave surplus shards with fresh empty state."""
-    if got != expected:
-        raise ValueError(f"expected {expected} shard state trees, got {got}")
 
 
 class ShardWorkerError(RuntimeError):
@@ -86,14 +82,24 @@ class ShardWorkerError(RuntimeError):
         self.detail = detail
 
 
-def _apply_adopt(shard: StreamShard, payload: dict) -> None:
-    """Apply one ``adopt`` control payload to a shard (shared by all backends)."""
-    from ..coreset.bucket import WeightedPointSet
+# Lambdas, not unbound methods, so shard subclasses' overrides take effect.
+_SHARD_OPS: dict[str, Callable[[StreamShard, object], object]] = {
+    "insert": lambda shard, block: shard.insert_batch(block),
+    "collect": lambda shard, dimension: shard.snapshot(dimension),
+    "state_dump": lambda shard, _: shard.state_dict(),
+    "state_load": lambda shard, state: shard.load_state(state),
+    # arg: (inherited coreset piece, points it represents, reset first?)
+    "adopt": lambda shard, arg: shard.adopt(arg[0], arg[1], reset=arg[2]),
+    # Accounting only: must not touch the shard's coresets or sampling
+    # streams (keeps the transports bit-equivalent).
+    "stored_points": lambda shard, _: shard.stored_points(),
+    "sync": lambda shard, _: None,
+}
 
-    piece = WeightedPointSet(points=payload["points"], weights=payload["weights"])
-    shard.adopt(
-        piece, int(payload["represented"]), reset=bool(payload.get("reset", False))
-    )
+
+def run_shard_op(shard: StreamShard, op: str, arg=None):
+    """Apply one shard op — the single dispatch both transports share."""
+    return _SHARD_OPS[op](shard, arg)
 
 
 @dataclass
@@ -127,274 +133,27 @@ class SerialBackend:
 
     name = "serial"
 
-    def __init__(self, specs: Sequence[_ShardSpec], queue_depth: int = 8) -> None:
-        self._specs = list(specs)
-        self._shards = [spec.build() for spec in self._specs]
+    def __init__(self, specs: Sequence[_ShardSpec]) -> None:
+        self._shards = [spec.build() for spec in specs]
 
     @property
     def shards(self) -> list[StreamShard]:
-        """The in-process shard objects (available for serial and thread)."""
+        """The in-process shard objects."""
         return self._shards
 
     def submit(self, shard_index: int, block: np.ndarray) -> None:
         """Apply one insert block to a shard (inline, exceptions propagate)."""
-        self._shards[shard_index].insert_batch(block)
+        run_shard_op(self._shards[shard_index], "insert", block)
 
-    def sync(self) -> None:
-        """Barrier: trivially satisfied, inserts are applied synchronously."""
-
-    def collect(self, dimension: int) -> list[ShardSnapshot]:
-        """Snapshot every shard's coreset and counters."""
-        return [shard.snapshot(dimension) for shard in self._shards]
-
-    def dump_states(self) -> list[dict]:
-        """Checkpoint: capture every shard's full state tree."""
-        return [shard.state_dict() for shard in self._shards]
-
-    def load_states(self, states: list[dict]) -> None:
-        """Restore: apply one state tree per shard."""
-        _require_state_count(len(states), len(self._shards))
-        for shard, state in zip(self._shards, states):
-            shard.load_state(state)
-
-    def dump_state(self, shard_index: int) -> dict:
-        """Checkpoint one shard's state tree."""
-        return self._shards[shard_index].state_dict()
-
-    def load_state(self, shard_index: int, state: dict) -> None:
-        """Restore one shard from its state tree."""
-        self._shards[shard_index].load_state(state)
-
-    def adopt(self, shard_index: int, payload: dict) -> None:
-        """Hand one shard an inherited coreset piece (reshard/migration)."""
-        _apply_adopt(self._shards[shard_index], payload)
-
-    def restart_shard(self, shard_index: int) -> None:
-        """Rebuild one shard fresh from its spec (inline; nothing to kill)."""
-        self._shards[shard_index] = self._specs[shard_index].build()
-
-    def stored_points(self) -> int:
-        """Total weighted points held across the shards."""
-        return sum(shard.stored_points() for shard in self._shards)
+    def call(self, op: str, args: Mapping[int, object]) -> dict[int, object]:
+        """Run ``op`` on every addressed shard, in index order."""
+        return {
+            index: run_shard_op(self._shards[index], op, arg)
+            for index, arg in args.items()
+        }
 
     def close(self) -> None:
         """Nothing to tear down (idempotent)."""
-
-
-@dataclass
-class _Request:
-    """A control message awaiting a reply from a thread worker."""
-
-    kind: str  # "collect" | "sync" | "state_dump" | "state_load" | "adopt"
-    dimension: int = 1
-    event: threading.Event = field(default_factory=threading.Event)
-    snapshot: ShardSnapshot | None = None
-    payload: dict | None = None  # reply of state_dump; input of state_load/adopt
-    error: str | None = None
-
-
-class _ShardThread(threading.Thread):
-    """One worker thread owning one shard behind a bounded task queue."""
-
-    _STOP = object()
-
-    def __init__(self, spec: _ShardSpec, queue_depth: int) -> None:
-        super().__init__(name=f"shard-{spec.shard_index}", daemon=True)
-        self.shard = spec.build()
-        self.shard_index = spec.shard_index
-        self.tasks: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self.error: str | None = None
-
-    def run(self) -> None:
-        while True:
-            task = self.tasks.get()
-            if task is self._STOP:
-                return
-            if isinstance(task, _Request):
-                if self.error is not None:
-                    task.error = self.error
-                    task.event.set()
-                    continue
-                try:
-                    if task.kind == "collect":
-                        task.snapshot = self.shard.snapshot(task.dimension)
-                    elif task.kind == "state_dump":
-                        task.payload = self.shard.state_dict()
-                    elif task.kind == "state_load":
-                        self.shard.load_state(task.payload)
-                    elif task.kind == "adopt":
-                        _apply_adopt(self.shard, task.payload)
-                except BaseException:
-                    self.error = traceback.format_exc()
-                    task.error = self.error
-                task.event.set()
-                continue
-            if self.error is not None:
-                continue  # drain: keep the producer from blocking forever
-            try:
-                self.shard.insert_batch(task)
-            except BaseException:
-                self.error = traceback.format_exc()
-
-    def put(self, item) -> None:
-        """Enqueue with a stall deadline, surfacing worker errors early.
-
-        A failed worker keeps draining its queue, so ``put`` normally
-        succeeds and the error surfaces on the *next* call; the deadline only
-        fires if the worker thread died outright.
-        """
-        deadline = time.monotonic() + _STALL_TIMEOUT
-        while True:
-            if self.error is not None and not isinstance(item, _Request):
-                raise ShardWorkerError(self.shard_index, self.error)
-            try:
-                self.tasks.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                if not self.is_alive():
-                    raise ShardWorkerError(
-                        self.shard_index, self.error or "worker thread died"
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"shard {self.shard_index} work queue stalled"
-                    ) from None
-
-
-class ThreadBackend:
-    """One worker thread per shard behind bounded queues."""
-
-    name = "thread"
-
-    def __init__(self, specs: Sequence[_ShardSpec], queue_depth: int = 8) -> None:
-        self._specs = list(specs)
-        self._queue_depth = queue_depth
-        self._workers = [_ShardThread(spec, queue_depth) for spec in self._specs]
-        for worker in self._workers:
-            worker.start()
-        self._closed = False
-
-    @property
-    def shards(self) -> list[StreamShard]:
-        """The in-process shard objects (only safe to touch after ``sync``)."""
-        return [worker.shard for worker in self._workers]
-
-    def submit(self, shard_index: int, block: np.ndarray) -> None:
-        """Enqueue one insert block for a shard (bounded, ordered)."""
-        self._workers[shard_index].put(block)
-
-    def _roundtrip(self, kind: str, dimension: int = 1) -> list[_Request]:
-        requests = []
-        for worker in self._workers:
-            request = _Request(kind=kind, dimension=dimension)
-            worker.put(request)
-            requests.append(request)
-        for worker, request in zip(self._workers, requests):
-            if not request.event.wait(timeout=_STALL_TIMEOUT):
-                raise RuntimeError(f"shard {worker.shard_index} barrier stalled")
-            if request.error is not None:
-                raise ShardWorkerError(worker.shard_index, request.error)
-        return requests
-
-    def sync(self) -> None:
-        """Barrier: every queued insert has been applied when this returns."""
-        self._roundtrip("sync")
-
-    def collect(self, dimension: int) -> list[ShardSnapshot]:
-        """Snapshot every shard (the snapshots are computed in parallel)."""
-        requests = self._roundtrip("collect", dimension)
-        return [request.snapshot for request in requests]  # type: ignore[misc]
-
-    def _roundtrip_one(
-        self, shard_index: int, kind: str, dimension: int = 1, payload: dict | None = None
-    ) -> _Request:
-        worker = self._workers[shard_index]
-        request = _Request(kind=kind, dimension=dimension, payload=payload)
-        worker.put(request)
-        if not request.event.wait(timeout=_STALL_TIMEOUT):
-            raise RuntimeError(f"shard {shard_index} barrier stalled")
-        if request.error is not None:
-            raise ShardWorkerError(shard_index, request.error)
-        return request
-
-    def dump_states(self) -> list[dict]:
-        """Checkpoint: capture every shard's state tree (inside its worker)."""
-        requests = self._roundtrip("state_dump")
-        return [request.payload for request in requests]  # type: ignore[misc]
-
-    def dump_state(self, shard_index: int) -> dict:
-        """Checkpoint one shard's state tree (a single-worker barrier)."""
-        return self._roundtrip_one(shard_index, "state_dump").payload  # type: ignore[return-value]
-
-    def load_state(self, shard_index: int, state: dict) -> None:
-        """Restore one shard from its state tree."""
-        self._roundtrip_one(shard_index, "state_load", payload=state)
-
-    def adopt(self, shard_index: int, payload: dict) -> None:
-        """Hand one shard an inherited coreset piece (reshard/migration)."""
-        self._roundtrip_one(shard_index, "adopt", payload=payload)
-
-    def restart_shard(self, shard_index: int) -> None:
-        """Replace one worker thread with a fresh one built from its spec.
-
-        The old worker keeps draining its (now orphaned) queue until the stop
-        sentinel lands, so an errored worker exits promptly; its per-request
-        events were all set when it errored, so nothing can block on it.
-        """
-        old = self._workers[shard_index]
-        deadline = time.monotonic() + _STALL_TIMEOUT
-        while True:
-            try:
-                old.tasks.put(_ShardThread._STOP, timeout=0.05)
-                break
-            except queue.Full:  # pragma: no cover - errored workers drain fast
-                if not old.is_alive() or time.monotonic() > deadline:
-                    break
-        worker = _ShardThread(self._specs[shard_index], self._queue_depth)
-        worker.start()
-        self._workers[shard_index] = worker
-        old.join(timeout=_STALL_TIMEOUT)
-
-    def load_states(self, states: list[dict]) -> None:
-        """Restore: ship one state tree to each worker and wait for all."""
-        _require_state_count(len(states), len(self._workers))
-        requests = []
-        for worker, state in zip(self._workers, states):
-            request = _Request(kind="state_load", payload=state)
-            worker.put(request)
-            requests.append(request)
-        for worker, request in zip(self._workers, requests):
-            if not request.event.wait(timeout=_STALL_TIMEOUT):
-                raise RuntimeError(f"shard {worker.shard_index} restore stalled")
-            if request.error is not None:
-                raise ShardWorkerError(worker.shard_index, request.error)
-
-    def stored_points(self) -> int:
-        """Total weighted points held (after a barrier, read directly)."""
-        self.sync()
-        return sum(worker.shard.stored_points() for worker in self._workers)
-
-    def close(self) -> None:
-        """Stop and join every worker thread (idempotent).
-
-        Workers drain their queue even after an error, so the stop sentinel
-        normally lands immediately; a dead worker with a full queue is the
-        only case where it cannot, and then there is nothing left to stop.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            deadline = time.monotonic() + _STALL_TIMEOUT
-            while True:
-                try:
-                    worker.tasks.put(_ShardThread._STOP, timeout=0.05)
-                    break
-                except queue.Full:
-                    if not worker.is_alive() or time.monotonic() > deadline:
-                        break
-        for worker in self._workers:
-            worker.join(timeout=_STALL_TIMEOUT)
 
 
 def _attach_shared_memory(name: str):
@@ -413,21 +172,20 @@ def _attach_shared_memory(name: str):
 def _process_worker(spec: _ShardSpec, task_queue, result_conn, free_slots) -> None:
     """Worker-process main loop: build the shard, consume tasks until stopped.
 
-    Control messages carry a coordinator-issued sequence number that is
-    echoed in every reply (insert messages carry none; they never reply).
-    The coordinator drops replies whose sequence number does not match the
-    op in flight, so a restarted shard's predecessor can never satisfy a
-    barrier with stale data.
+    Control messages ``(op, seq, arg)`` carry a coordinator-issued sequence
+    number that is echoed in the reply (inserts carry none; they never
+    reply).  The coordinator drops replies whose sequence number does not
+    match the op in flight, so a reply left over from an op that was
+    abandoned on another shard's error can never satisfy a later barrier.
 
     Replies travel over a per-worker pipe, NOT a queue shared across
     workers: a shared queue serializes writers through one cross-process
     lock, and a worker killed inside that critical section (crash, SIGKILL,
     fault-injection `terminate()`) would leave the lock held forever,
     wedging every *other* shard's replies.  With one pipe per worker a
-    kill at any instant can only corrupt that worker's own channel, which
-    ``restart_shard`` replaces wholesale.  Sends happen from this (main)
-    thread — no feeder thread, so there is no window where a reply has
-    been delivered but a lock is still held.
+    kill at any instant can only corrupt that worker's own channel.  Sends
+    happen from this (main) thread — no feeder thread, so there is no window
+    where a reply has been delivered but a lock is still held.
     """
     slabs: dict[str, object] = {}
     index = spec.shard_index
@@ -439,12 +197,12 @@ def _process_worker(spec: _ShardSpec, task_queue, result_conn, free_slots) -> No
     try:
         while True:
             message = task_queue.get()
-            kind = message[0]
-            if kind == "stop":
+            op = message[0]
+            if op == "stop":
                 return
-            seq = -1 if kind == "insert" else message[1]
+            seq = -1
             try:
-                if kind == "insert":
+                if op == "insert":
                     _, name, offset_rows, nrows, dimension, dtype_name = message
                     slab = slabs.get(name)
                     if slab is None:
@@ -461,25 +219,10 @@ def _process_worker(spec: _ShardSpec, task_queue, result_conn, free_slots) -> No
                     # shard may alias `block` in its buckets indefinitely.
                     block = np.array(view, dtype=dtype, copy=True)
                     free_slots.release()
-                    shard.insert_batch(block)
-                elif kind == "collect":
-                    result_conn.send(
-                        ("snapshot", index, seq, shard.snapshot(message[2]))
-                    )
-                elif kind == "state_dump":
-                    result_conn.send(("state", index, seq, shard.state_dict()))
-                elif kind == "state_load":
-                    shard.load_state(message[2])
-                    result_conn.send(("state_loaded", index, seq, None))
-                elif kind == "adopt":
-                    _apply_adopt(shard, message[2])
-                    result_conn.send(("adopted", index, seq, None))
-                elif kind == "stats":
-                    # Accounting only: must not touch the shard's coresets or
-                    # sampling streams (keeps backends bit-equivalent).
-                    result_conn.send(("stats", index, seq, shard.stored_points()))
-                elif kind == "sync":
-                    result_conn.send(("synced", index, seq, None))
+                    run_shard_op(shard, "insert", block)
+                else:
+                    _, seq, arg = message
+                    result_conn.send(("ok", index, seq, run_shard_op(shard, op, arg)))
             except BaseException:
                 result_conn.send(("error", index, seq, traceback.format_exc()))
                 return
@@ -496,15 +239,7 @@ class _SlabRing:
     the segment footprint and the per-batch copy bandwidth.
     """
 
-    def __init__(
-        self,
-        context,
-        shard_index: int,
-        slot_rows: int,
-        depth: int,
-        dimension: int,
-        dtype: np.dtype = np.dtype(np.float64),
-    ) -> None:
+    def __init__(self, slot_rows: int, depth: int, dimension: int, dtype: np.dtype) -> None:
         from multiprocessing import shared_memory
 
         self.slot_rows = slot_rows
@@ -543,21 +278,8 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        specs: Sequence[_ShardSpec],
-        queue_depth: int = 8,
-        slot_rows: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        import multiprocessing as mp
-
-        if start_method is None:
-            # fork is dramatically cheaper and keeps test-local shard
-            # factories picklable-by-inheritance; fall back where absent.
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        context = mp.get_context(start_method)
-        self._context = context
+    def __init__(self, specs: Sequence[_ShardSpec]) -> None:
+        context = mp.get_context(_START_METHOD)
         try:
             # Start the parent's resource tracker BEFORE forking workers so
             # every worker inherits it.  Otherwise each worker's slab attach
@@ -568,9 +290,8 @@ class ProcessBackend:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker API is semi-private
             pass
-        self._queue_depth = queue_depth
-        self._slot_rows = slot_rows
-        self._specs = list(specs)
+        self._queue_depth = _QUEUE_DEPTH
+        self._slot_rows = max(_MIN_SLOT_ROWS, 2 * specs[0].config.bucket_size)
         self._tasks = []
         self._semaphores = []
         self._processes = []
@@ -579,37 +300,29 @@ class ProcessBackend:
         # cross-process write lock, so a worker killed mid-send poisons
         # the lock and stalls all OTHER shards' barriers; a per-worker
         # pipe confines kill-at-any-instant damage to the dead worker's
-        # own channel, which restart_shard discards.
+        # own channel.
         self._result_conns: list = []
-        self._rings: list[_SlabRing | None] = [None] * len(self._specs)
+        self._rings: list[_SlabRing | None] = [None] * len(specs)
         self._errors: dict[int, str] = {}
         self._op_seq = 0
         self._closed = False
-        for spec in self._specs:
-            tasks, free_slots, conn, process = self._start_worker(spec)
+        for spec in specs:
+            tasks = context.Queue()
+            free_slots = context.Semaphore(self._queue_depth)
+            recv_conn, send_conn = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_process_worker,
+                args=(spec, tasks, send_conn, free_slots),
+                daemon=True,
+            )
+            process.start()
+            # Drop the parent's copy of the write end so a dead worker reads
+            # as EOF instead of a silent hang.
+            send_conn.close()
             self._tasks.append(tasks)
             self._semaphores.append(free_slots)
-            self._result_conns.append(conn)
+            self._result_conns.append(recv_conn)
             self._processes.append(process)
-
-    def _start_worker(self, spec: _ShardSpec):
-        tasks = self._context.Queue()
-        free_slots = self._context.Semaphore(self._queue_depth)
-        recv_conn, send_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_process_worker,
-            args=(spec, tasks, send_conn, free_slots),
-            daemon=True,
-        )
-        process.start()
-        # Drop the parent's copy of the write end so a dead worker reads
-        # as EOF instead of a silent hang.
-        send_conn.close()
-        return tasks, free_slots, recv_conn, process
-
-    def _next_seq(self) -> int:
-        self._op_seq += 1
-        return self._op_seq
 
     @property
     def shards(self) -> list[StreamShard]:
@@ -621,29 +334,39 @@ class ProcessBackend:
 
     # -- error plumbing ------------------------------------------------------
 
-    def _note(self, message) -> None:
+    def _receive(self, index: int):
+        """One message from worker ``index``'s pipe, or ``None`` at EOF.
+
+        EOF means the worker died (possibly killed mid-send, leaving a torn
+        message in its own pipe — never anyone else's); the pipe is retired
+        so an EOF-ready pipe cannot spin ``poll()``.  Error reports are
+        recorded for :meth:`_raise_if_failed`.
+        """
+        conn = self._result_conns[index]
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            conn.close()
+            self._result_conns[index] = None
+            return None
         if message[0] == "error":
             self._errors[message[1]] = message[3]
-
-    def _drain_errors(self) -> None:
-        for index, conn in enumerate(self._result_conns):
-            while conn is not None and conn.poll(0):
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died; whatever it sent before dying has been
-                    # received above.  Retire the conn so an EOF-ready pipe
-                    # cannot spin poll().
-                    conn.close()
-                    self._result_conns[index] = None
-                    break
-                self._note(message)
+        return message
 
     def _raise_if_failed(self) -> None:
-        self._drain_errors()
+        for index, conn in enumerate(self._result_conns):
+            while conn is not None and conn.poll(0):
+                if self._receive(index) is None:
+                    break
         if self._errors:
             index = min(self._errors)
             raise ShardWorkerError(index, self._errors[index])
+
+    def _check_alive(self, index: int) -> None:
+        if not self._processes[index].is_alive():
+            raise ShardWorkerError(
+                index, self._errors.get(index, "worker process died")
+            )
 
     # -- the backend contract ------------------------------------------------
 
@@ -654,21 +377,13 @@ class ProcessBackend:
         shard applies them in order, which yields the exact same shard state
         (batch ingestion is split-invariant).  Acquiring a free slot is what
         bounds the queue: the coordinator blocks here when the shard is
-        ``queue_depth`` slots behind.
+        ``_QUEUE_DEPTH`` slots behind.
         """
         self._raise_if_failed()
         dimension = block.shape[1]
         ring = self._rings[shard_index]
         if ring is None:
-            slot_rows = self._slot_rows or max(1024, min(block.shape[0], 65536))
-            ring = _SlabRing(
-                self._context,
-                shard_index,
-                slot_rows,
-                self._queue_depth,
-                dimension,
-                dtype=block.dtype,
-            )
+            ring = _SlabRing(self._slot_rows, self._queue_depth, dimension, block.dtype)
             self._rings[shard_index] = ring
         if ring.dimension != dimension:
             raise ValueError(
@@ -690,156 +405,54 @@ class ProcessBackend:
         deadline = time.monotonic() + _STALL_TIMEOUT
         while not self._semaphores[shard_index].acquire(timeout=0.05):
             self._raise_if_failed()
-            if not self._processes[shard_index].is_alive():
-                raise ShardWorkerError(
-                    shard_index, self._errors.get(shard_index, "worker process died")
-                )
+            self._check_alive(shard_index)
             if time.monotonic() > deadline:
                 raise RuntimeError(f"shard {shard_index} slab ring stalled")
 
-    def _await_replies(
-        self, wanted: str, seq: int, indices: Sequence[int] | None = None
-    ) -> dict[int, object]:
-        targets = (
-            [spec.shard_index for spec in self._specs]
-            if indices is None
-            else list(indices)
-        )
+    def call(self, op: str, args: Mapping[int, object]) -> dict[int, object]:
+        """Send ``op`` to every addressed worker at once and await each reply.
+
+        The workers run the op concurrently (a cross-shard ``collect``
+        computes every snapshot in parallel).  Because each worker's queue is
+        FIFO, a reply also proves every insert submitted before it has been
+        applied — which is what makes ``call("sync", ...)`` a barrier.
+        """
+        self._raise_if_failed()
+        self._op_seq += 1
+        seq = self._op_seq
+        for index, arg in args.items():
+            self._tasks[index].put((op, seq, arg))
         replies: dict[int, object] = {}
         deadline = time.monotonic() + _STALL_TIMEOUT
-        while len(replies) < len(targets):
-            missing = [index for index in targets if index not in replies]
-            live = {
-                index: conn
+        while len(replies) < len(args):
+            missing = [index for index in args if index not in replies]
+            live = [
+                (index, conn)
                 for index, conn in enumerate(self._result_conns)
                 if conn is not None
-            }
-            ready = connection.wait(list(live.values()), timeout=0.1) if live else []
+            ]
+            ready = connection.wait([conn for _, conn in live], timeout=0.1) if live else []
             if not ready:
-                self._raise_if_failed()
+                # Receive nothing here: a reply that lands after the wait
+                # timed out is read by the next wait, never dropped.
                 for index in missing:
-                    if not self._processes[index].is_alive():
-                        raise ShardWorkerError(
-                            index, self._errors.get(index, "worker process died")
-                        )
+                    self._check_alive(index)
                 if time.monotonic() > deadline:
                     raise RuntimeError(f"shards {missing} barrier stalled")
                 continue
-            for conn in ready:
-                index = next(i for i, c in live.items() if c is conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Dead worker (possibly killed mid-send, leaving a torn
-                    # message in its own pipe — never anyone else's).  The
-                    # liveness check above surfaces it as ShardWorkerError.
-                    conn.close()
-                    self._result_conns[index] = None
+            for index, conn in live:
+                if conn not in ready:
                     continue
-                self._note(message)
+                message = self._receive(index)
+                if message is None:
+                    continue  # the liveness check surfaces the dead worker
                 if message[0] == "error":
                     raise ShardWorkerError(message[1], message[3])
-                # Replies from a superseded op (or a pre-restart worker
-                # incarnation) carry an older seq and are discarded here.
-                if message[0] == wanted and message[2] == seq and message[1] in missing:
+                # Replies to a superseded op carry an older seq and are
+                # discarded here.
+                if message[2] == seq and message[1] in missing:
                     replies[message[1]] = message[3]
         return replies
-
-    def sync(self) -> None:
-        """Barrier: every announced insert slot has been consumed and applied."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        for tasks in self._tasks:
-            tasks.put(("sync", seq))
-        self._await_replies("synced", seq)
-
-    def collect(self, dimension: int) -> list[ShardSnapshot]:
-        """Gather one coreset snapshot per shard (computed in parallel)."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        for tasks in self._tasks:
-            tasks.put(("collect", seq, dimension))
-        replies = self._await_replies("snapshot", seq)
-        return [replies[spec.shard_index] for spec in self._specs]  # type: ignore[misc]
-
-    def dump_states(self) -> list[dict]:
-        """Checkpoint: fetch every worker's shard state tree (pickled once)."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        for tasks in self._tasks:
-            tasks.put(("state_dump", seq))
-        replies = self._await_replies("state", seq)
-        return [replies[spec.shard_index] for spec in self._specs]  # type: ignore[misc]
-
-    def load_states(self, states: list[dict]) -> None:
-        """Restore: ship one state tree into each worker process."""
-        _require_state_count(len(states), len(self._specs))
-        self._raise_if_failed()
-        seq = self._next_seq()
-        for tasks, state in zip(self._tasks, states):
-            tasks.put(("state_load", seq, state))
-        self._await_replies("state_loaded", seq)
-
-    def dump_state(self, shard_index: int) -> dict:
-        """Checkpoint one worker's shard state tree (single-shard barrier)."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        self._tasks[shard_index].put(("state_dump", seq))
-        return self._await_replies("state", seq, indices=(shard_index,))[shard_index]  # type: ignore[return-value]
-
-    def load_state(self, shard_index: int, state: dict) -> None:
-        """Restore one worker's shard from its state tree."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        self._tasks[shard_index].put(("state_load", seq, state))
-        self._await_replies("state_loaded", seq, indices=(shard_index,))
-
-    def adopt(self, shard_index: int, payload: dict) -> None:
-        """Hand one worker an inherited coreset piece (reshard/migration)."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        self._tasks[shard_index].put(("adopt", seq, payload))
-        self._await_replies("adopted", seq, indices=(shard_index,))
-
-    def restart_shard(self, shard_index: int) -> None:
-        """Replace one dead/failed worker process with a fresh incarnation.
-
-        The old process is terminated, its slab ring destroyed (undelivered
-        slots die with the worker — the engine's recovery journal replays
-        them), pending result messages are drained, and the shard's recorded
-        error is cleared.  The fresh worker starts from the original spec;
-        the caller restores state and replays the lost tail.
-        """
-        process = self._processes[shard_index]
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=10.0)
-        self._drain_errors()
-        self._errors.pop(shard_index, None)
-        ring = self._rings[shard_index]
-        if ring is not None:
-            ring.destroy()
-            self._rings[shard_index] = None
-        old_tasks = self._tasks[shard_index]
-        old_conn = self._result_conns[shard_index]
-        tasks, free_slots, conn, fresh = self._start_worker(self._specs[shard_index])
-        self._tasks[shard_index] = tasks
-        self._semaphores[shard_index] = free_slots
-        self._result_conns[shard_index] = conn
-        self._processes[shard_index] = fresh
-        old_tasks.close()
-        old_tasks.cancel_join_thread()
-        if old_conn is not None:
-            old_conn.close()
-
-    def stored_points(self) -> int:
-        """Total weighted points held across the worker processes."""
-        self._raise_if_failed()
-        seq = self._next_seq()
-        for tasks in self._tasks:
-            tasks.put(("stats", seq))
-        replies = self._await_replies("stats", seq)
-        return sum(int(value) for value in replies.values())
 
     def close(self) -> None:
         """Stop workers, join them, and unlink every shared-memory slab.
@@ -864,7 +477,7 @@ class ProcessBackend:
         for ring in self._rings:
             if ring is not None:
                 ring.destroy()
-        self._rings = [None] * len(self._specs)
+        self._rings = [None] * len(self._rings)
         for tasks in self._tasks:
             tasks.close()
             tasks.cancel_join_thread()
@@ -873,23 +486,6 @@ class ProcessBackend:
                 conn.close()
 
 
-def make_backend(
-    name: str,
-    specs: Sequence[_ShardSpec],
-    queue_depth: int = 8,
-    slot_rows: int | None = None,
-    start_method: str | None = None,
-):
-    """Instantiate an executor backend by name (see :data:`BACKENDS`)."""
-    if name == "serial":
-        return SerialBackend(specs, queue_depth=queue_depth)
-    if name == "thread":
-        return ThreadBackend(specs, queue_depth=queue_depth)
-    if name == "process":
-        return ProcessBackend(
-            specs,
-            queue_depth=queue_depth,
-            slot_rows=slot_rows,
-            start_method=start_method,
-        )
-    raise ValueError(f"unknown backend {name!r}; available: {BACKENDS}")
+def make_backend(name: str, specs: Sequence[_ShardSpec]):
+    """Instantiate an executor backend by name (one of :data:`BACKENDS`)."""
+    return {"serial": SerialBackend, "process": ProcessBackend}[name](specs)

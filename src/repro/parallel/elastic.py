@@ -1,7 +1,7 @@
 """Elasticity primitives: reshard/migration reports, rebalance policy, apportionment.
 
-The sharded engine's elasticity (live resharding, load-driven shard
-migration, crash recovery) is sound because of the same Observation 1 that
+The sharded engine's elasticity (live resharding and load-driven shard
+migration) is sound because of the same Observation 1 that
 makes sharding itself sound: a union of per-shard coresets is a coreset of
 the union, so shard state is *mergeable* (collect every shard's coreset),
 *splittable* (deal the union back out to any number of shards), and
@@ -21,7 +21,6 @@ from typing import Sequence
 __all__ = [
     "ReshardReport",
     "MigrationReport",
-    "RecoveryEvent",
     "RebalancePolicy",
     "apportion_points",
 ]
@@ -40,7 +39,7 @@ class ReshardReport:
     points_represented:
         Stream points that union stands for (the engine's ``points_seen``).
     pause_seconds:
-        Quiesce-to-resume wall time: sync barrier, cross-shard collect,
+        Quiesce-to-resume wall time: the cross-shard collect barrier,
         backend teardown/rebuild, and piece adoption.  This is the window
         during which ingest is paused; the bench gate tracks it as
         ``reshard_pause_ms``.
@@ -79,28 +78,6 @@ class MigrationReport:
     moved_points_represented: int
     router_slots_moved: int
     pause_seconds: float
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One automatic worker recovery performed by the engine's supervisor.
-
-    Attributes
-    ----------
-    shard_index:
-        The shard whose worker was restarted.
-    restarts:
-        Cumulative restarts of that shard so far (compared against
-        ``max_restarts``).
-    replayed_blocks / replayed_points:
-        Size of the journal tail re-submitted after restoring the shard's
-        last recovery-point state.
-    """
-
-    shard_index: int
-    restarts: int
-    replayed_blocks: int
-    replayed_points: int
 
 
 @dataclass(frozen=True)

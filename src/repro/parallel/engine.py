@@ -8,7 +8,7 @@ dataflow::
     insert_batch ──►  split into per-shard blocks (vectorized, zero copy)
                       │
                       ▼
-    bounded per-shard work queues ──► shard workers (serial | thread | process)
+    bounded per-shard work queues ──► shard workers (serial | process)
                       each: BucketBuffer → CT/CC/RCC structure
                       │
     query ──────────► collect one coreset per shard (Observation 1)
@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,14 +46,8 @@ from ..core.cache import CacheStats
 from ..core.serving_mixin import CoresetServingMixin
 from ..coreset.bucket import WeightedPointSet
 from ..queries.serving import QueryStats
-from .backends import BACKENDS, ShardWorkerError, _ShardSpec, make_backend
-from .elastic import (
-    MigrationReport,
-    RebalancePolicy,
-    RecoveryEvent,
-    ReshardReport,
-    apportion_points,
-)
+from .backends import BACKENDS, _ShardSpec, make_backend
+from .elastic import MigrationReport, RebalancePolicy, ReshardReport, apportion_points
 from .routing import ROUTING_POLICIES, make_router, spawn_shard_seeds
 from .shard import SHARD_STRUCTURES, ShardSnapshot, StreamShard, make_shard
 
@@ -76,23 +70,17 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         How points are assigned to shards: ``"round_robin"`` (default),
         ``"hash"`` (content-stable), or ``"random"``.
     backend:
-        Executor backend: ``"serial"`` (inline, deterministic), ``"thread"``
-        (one worker thread per shard), or ``"process"`` (one worker process
-        per shard with shared-memory batch handoff).
+        Executor backend: ``"serial"`` (inline, deterministic) or
+        ``"process"`` (one worker process per shard with shared-memory batch
+        handoff).  A lost process worker surfaces as
+        :class:`~repro.parallel.backends.ShardWorkerError`; surviving it is
+        the job of :class:`~repro.resilience.IngestSupervisor`, which
+        rebuilds the engine from its last checkpoint plus journal replay.
     structure:
         Clustering structure each shard runs: ``"ct"``, ``"cc"`` (default),
         or ``"rcc"``.
     nesting_depth:
         RCC nesting depth for ``structure="rcc"`` shards (ignored otherwise).
-    queue_depth:
-        Bound of each shard's work queue (blocks the coordinator when a
-        shard falls this many submissions behind).
-    slot_rows:
-        Rows per shared-memory slot for the process backend (default: twice
-        the bucket size, at least 1024).  Ignored by other backends.
-    start_method:
-        Multiprocessing start method for the process backend (default:
-        ``"fork"`` where available, else ``"spawn"``).
     shard_factory:
         Test hook: replaces :func:`~repro.parallel.shard.make_shard` to build
         custom shard objects (must be picklable for spawn-based workers).
@@ -101,21 +89,6 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         the engine watches per-shard routed points since the last rebalance
         and migrates a slice of the hottest shard's coreset to the coldest
         shard (at a quiesce point) whenever the policy triggers.
-    auto_recover:
-        Opt-in crash recovery.  The engine keeps a per-shard recovery point
-        (the shard's checkpoint sub-snapshot) plus a journal of the blocks
-        submitted since, and on a :class:`~repro.parallel.backends.
-        ShardWorkerError` restarts the failed worker, restores the recovery
-        point, and replays the journal tail instead of surfacing the error.
-        The serial backend runs shards inline and is not covered (a failure
-        there is a plain exception in the caller, not a lost worker).
-    recovery_interval:
-        Points routed to a shard between recovery-point refreshes (each
-        refresh is a single-shard state dump; the journal tail is truncated).
-    max_restarts:
-        Per-shard restart budget; a shard that keeps failing past it (e.g. a
-        deterministic bug replayed from the journal) surfaces its
-        ``ShardWorkerError`` as before.
     """
 
     checkpoint_name = "sharded"
@@ -128,14 +101,8 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         backend: str = "serial",
         structure: str = "cc",
         nesting_depth: int = 3,
-        queue_depth: int = 8,
-        slot_rows: int | None = None,
-        start_method: str | None = None,
         shard_factory=None,
         rebalance: RebalancePolicy | None = None,
-        auto_recover: bool = False,
-        recovery_interval: int = 4096,
-        max_restarts: int = 2,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -150,32 +117,16 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
                 f"unknown shard structure {structure!r}; "
                 f"available: {tuple(SHARD_STRUCTURES)}"
             )
-        if recovery_interval <= 0:
-            raise ValueError("recovery_interval must be positive")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
         self.config = config
         self.routing = routing
         self.backend_name = backend
         self.structure_name = structure
         self._nesting_depth = nesting_depth
-        self._queue_depth = queue_depth
-        self._start_method = start_method
         self._shard_factory = (
             shard_factory if shard_factory is not None else make_shard
         )
         self._router = make_router(routing, num_shards, seed=config.seed)
-        specs = self._build_specs(num_shards)
-        if slot_rows is None:
-            slot_rows = max(1024, 2 * config.bucket_size)
-        self._slot_rows = slot_rows
-        self._backend = make_backend(
-            backend,
-            specs,
-            queue_depth=queue_depth,
-            slot_rows=slot_rows,
-            start_method=start_method,
-        )
+        self._backend = make_backend(backend, self._build_specs(num_shards))
         # Safety net for engines dropped without close(): tears the workers
         # (and any shared-memory slabs) down when the engine is collected.
         # Referencing only the backend keeps the engine itself collectable.
@@ -190,7 +141,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         self._last_query_stats: QueryStats | None = None
         self._last_snapshots: list[ShardSnapshot] | None = None
         # Elasticity: one re-entrant lock serializes ingest/queries against
-        # reshard/migration/recovery, so a serving plane (or any concurrent
+        # reshard/migration, so a serving plane (or any concurrent
         # caller) always observes the engine either fully before or fully
         # after an elastic operation.
         self._elastic_lock = threading.RLock()
@@ -198,16 +149,6 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         self._window_loads = [0] * num_shards
         self._reshard_history: list[ReshardReport] = []
         self._migration_history: list[MigrationReport] = []
-        self._recovery_events: list[RecoveryEvent] = []
-        self._restarts = [0] * num_shards
-        self._auto_recover = bool(auto_recover)
-        self._recovery_interval = int(recovery_interval)
-        self._max_restarts = int(max_restarts)
-        self._journal: list[list[np.ndarray]] | None = None
-        self._journal_points: list[int] = []
-        self._shard_states: list[dict] = []
-        if self._auto_recover:
-            self._init_recovery_points()
 
     def _build_specs(self, num_shards: int) -> list[_ShardSpec]:
         seeds = spawn_shard_seeds(self.config.seed, num_shards)
@@ -222,11 +163,6 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             )
             for index in range(num_shards)
         ]
-
-    def _init_recovery_points(self) -> None:
-        self._journal = [[] for _ in range(self._num_shards)]
-        self._journal_points = [0] * self._num_shards
-        self._shard_states = self._backend.dump_states()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -272,8 +208,13 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
 
     @property
     def shards(self) -> list[StreamShard]:
-        """In-process shard objects (serial/thread only; process raises)."""
+        """In-process shard objects (serial only; process raises)."""
         return self._backend.shards
+
+    def _broadcast(self, op: str, arg=None) -> list:
+        """Run one shard op on every shard at once; replies in shard order."""
+        replies = self._backend.call(op, dict.fromkeys(range(self._num_shards), arg))
+        return [replies[index] for index in range(self._num_shards)]
 
     def shard_loads(self) -> list[int]:
         """Points routed to each shard (for load-balance inspection)."""
@@ -283,7 +224,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         """Barrier: block until every queued insert has been applied."""
         with self._elastic_lock:
             self._require_open()
-            self._with_recovery(self._backend.sync)
+            self._broadcast("sync")
 
     def last_snapshots(self) -> list[ShardSnapshot] | None:
         """Per-shard snapshots gathered by the most recent query (None before one)."""
@@ -324,7 +265,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
                 self._dimension, row.shape[0], what="point"
             )
             shard_index = self._router.route_point(row)
-            self._submit_block(shard_index, row.reshape(1, -1))
+            self._backend.submit(shard_index, row.reshape(1, -1))
             self._loads[shard_index] += 1
             self._window_loads[shard_index] += 1
             self._points_seen += 1
@@ -334,7 +275,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
 
         Routing is fully vectorized for every policy (round-robin strided
         slices, stable content hash, one random draw per batch).  With the
-        thread backend, blocks are handed over by reference — the caller
+        serial backend, blocks are handed over by reference — the caller
         must not mutate the array afterwards (the same aliasing contract as
         :meth:`~repro.core.driver.StreamClusterDriver.insert_batch`).
         """
@@ -346,91 +287,21 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
                 return
             self._dimension = require_dimension(self._dimension, arr.shape[1])
             for shard_index, block in self._router.split_batch(arr):
-                self._submit_block(shard_index, block)
+                self._backend.submit(shard_index, block)
                 self._loads[shard_index] += block.shape[0]
                 self._window_loads[shard_index] += block.shape[0]
             self._points_seen += n
             if self._rebalance is not None:
                 self._maybe_rebalance()
 
-    # -- elasticity: crash recovery -------------------------------------------
-
-    def _submit_block(self, shard_index: int, block: np.ndarray) -> None:
-        """Submit one routed block, journaling it after the submit succeeds.
-
-        Journal-after-success makes replay exactly-once: a block whose submit
-        failed is not yet journaled, so recovery replays only the previously
-        accepted tail and the failed block is then retried on the fresh
-        worker by :meth:`_with_recovery`.
-        """
-        self._with_recovery(lambda: self._backend.submit(shard_index, block))
-        if self._journal is None:
-            return
-        self._journal[shard_index].append(block)
-        self._journal_points[shard_index] += block.shape[0]
-        if self._journal_points[shard_index] >= self._recovery_interval:
-            self._refresh_recovery_point(shard_index)
-
-    def _refresh_recovery_point(self, shard_index: int) -> None:
-        """Advance one shard's recovery point and truncate its journal tail."""
-        state = self._with_recovery(lambda: self._backend.dump_state(shard_index))
-        self._shard_states[shard_index] = state
-        self._journal[shard_index].clear()
-        self._journal_points[shard_index] = 0
-
-    def _with_recovery(self, op: Callable):
-        """Run one backend op, transparently recovering failed workers.
-
-        Each :class:`ShardWorkerError` triggers at most ``max_restarts``
-        recoveries per shard; a shard that fails deterministically (the
-        replayed journal re-triggers the fault) exhausts its budget and the
-        error surfaces exactly as it did before auto-recovery existed.
-        """
-        while True:
-            try:
-                return op()
-            except ShardWorkerError as exc:
-                self._recover_from(exc)
-
-    def _recover_from(self, exc: ShardWorkerError) -> None:
-        """Restart the failed worker from its recovery point, or re-raise."""
-        index = exc.shard_index
-        if (
-            self._journal is None
-            or self.backend_name == "serial"
-            or not hasattr(self._backend, "restart_shard")
-            or not 0 <= index < self._num_shards
-            or self._restarts[index] >= self._max_restarts
-        ):
-            raise exc
-        self._restarts[index] += 1
-        self._backend.restart_shard(index)
-        self._backend.load_state(index, self._shard_states[index])
-        blocks = list(self._journal[index])
-        for block in blocks:
-            self._backend.submit(index, block)
-        self._recovery_events.append(
-            RecoveryEvent(
-                shard_index=index,
-                restarts=self._restarts[index],
-                replayed_blocks=len(blocks),
-                replayed_points=int(sum(block.shape[0] for block in blocks)),
-            )
-        )
-
-    @property
-    def recovery_events(self) -> list[RecoveryEvent]:
-        """Automatic worker recoveries performed so far (oldest first)."""
-        return list(self._recovery_events)
-
     # -- elasticity: live resharding ------------------------------------------
 
     def reshard(self, new_num_shards: int) -> ReshardReport:
         """Live-reshard N→M shards at a quiesce point, losslessly.
 
-        Quiesces via the ``sync`` barrier, collects every shard's local
-        coreset (structure coreset ∪ partial-bucket tail — nothing in flight
-        is lost), unions them (Observation 1), tears the old backend down,
+        Quiesces by collecting every shard's local coreset (a barrier:
+        structure coreset ∪ partial-bucket tail — nothing in flight is
+        lost), unions them (Observation 1), tears the old backend down,
         and deals the union back out to ``new_num_shards`` fresh shards as
         inherited mass, splitting round-robin so every piece carries a
         cross-section of the stream.  The router is rebuilt for the new
@@ -445,11 +316,8 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
                 raise ValueError("new_num_shards must be positive")
             start = time.perf_counter()
             old_num_shards = self._num_shards
-            self._with_recovery(self._backend.sync)
             dimension = self._dimension if self._dimension is not None else 1
-            snapshots = self._with_recovery(
-                lambda: self._backend.collect(dimension)
-            )
+            snapshots = self._broadcast("collect", dimension)
             union = WeightedPointSet.union_all(
                 [s.coreset for s in snapshots if s.points.shape[0]],
                 dimension=dimension,
@@ -457,11 +325,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             self._finalizer.detach()
             self._backend.close()
             self._backend = make_backend(
-                self.backend_name,
-                self._build_specs(new_num_shards),
-                queue_depth=self._queue_depth,
-                slot_rows=self._slot_rows,
-                start_method=self._start_method,
+                self.backend_name, self._build_specs(new_num_shards)
             )
             self._finalizer = weakref.finalize(self, self._backend.close)
             self._router = make_router(
@@ -481,21 +345,10 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             for index, (piece, represented) in enumerate(zip(pieces, counts)):
                 if piece.size == 0 and represented == 0:
                     continue
-                self._backend.adopt(
-                    index,
-                    {
-                        "points": piece.points,
-                        "weights": piece.weights,
-                        "represented": represented,
-                        "reset": False,
-                    },
-                )
+                self._backend.call("adopt", {index: (piece, represented, False)})
             self._loads = list(counts)
             self._window_loads = [0] * new_num_shards
-            self._restarts = [0] * new_num_shards
             self._last_snapshots = None
-            if self._auto_recover:
-                self._init_recovery_points()
             report = ReshardReport(
                 old_num_shards=old_num_shards,
                 new_num_shards=new_num_shards,
@@ -537,11 +390,8 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             if not 0.0 < fraction <= 1.0:
                 raise ValueError(f"fraction must be in (0, 1], got {fraction}")
             start = time.perf_counter()
-            self._with_recovery(self._backend.sync)
             dimension = self._dimension if self._dimension is not None else 1
-            snapshots = self._with_recovery(
-                lambda: self._backend.collect(dimension)
-            )
+            snapshots = self._broadcast("collect", dimension)
             coreset = snapshots[source].coreset
             move = np.zeros(coreset.size, dtype=bool)
             target = int(round(coreset.size * fraction))
@@ -559,32 +409,15 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             moved_represented, kept_represented = apportion_points(
                 [moved_weight, kept_weight], source_points
             )
-            self._backend.adopt(
-                source,
-                {
-                    "points": coreset.points[~move],
-                    "weights": coreset.weights[~move],
-                    "represented": kept_represented,
-                    "reset": True,
-                },
-            )
-            self._backend.adopt(
-                dest,
-                {
-                    "points": coreset.points[move],
-                    "weights": coreset.weights[move],
-                    "represented": moved_represented,
-                    "reset": False,
-                },
-            )
+            kept = WeightedPointSet(points=coreset.points[~move], weights=coreset.weights[~move])
+            moved = WeightedPointSet(points=coreset.points[move], weights=coreset.weights[move])
+            self._backend.call("adopt", {source: (kept, kept_represented, True)})
+            self._backend.call("adopt", {dest: (moved, moved_represented, False)})
             slots = self._router.reassign(source, dest, fraction)
             self._loads[source] -= moved_represented
             self._loads[dest] += moved_represented
             self._window_loads = [0] * self._num_shards
             self._last_snapshots = None
-            if self._journal is not None:
-                for index in (source, dest):
-                    self._refresh_recovery_point(index)
             report = MigrationReport(
                 source=source,
                 dest=dest,
@@ -626,9 +459,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         """Collect one coreset per shard and union them (Observation 1)."""
         with self._elastic_lock:
             dimension = self._dimension or 1
-            snapshots = self._with_recovery(
-                lambda: self._backend.collect(dimension)
-            )
+            snapshots = self._broadcast("collect", dimension)
             self._last_snapshots = snapshots
             pieces = [
                 snapshot.coreset for snapshot in snapshots if snapshot.points.shape[0]
@@ -638,7 +469,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
     def collect_serving_snapshot(self) -> tuple[WeightedPointSet, CacheStats | None]:
         """Writer-plane snapshot assembly (union of per-shard coresets).
 
-        ``collect`` is a worker barrier on the thread/process backends, so
+        ``collect`` is a worker barrier on the process backend, so
         the published snapshot reflects every insert submitted before the
         publish — the serving plane's ingest lock keeps this writer-only.
         The elastic lock additionally serializes it against a concurrent
@@ -663,7 +494,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         """Total weighted points held across all shards."""
         with self._elastic_lock:
             self._require_open()
-            return self._with_recovery(self._backend.stored_points)
+            return sum(self._broadcast("stored_points"))
 
     # -- checkpointing -------------------------------------------------------
 
@@ -679,12 +510,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
         }
 
     def _runtime_tree(self) -> dict:
-        return {
-            "backend": self.backend_name,
-            "queue_depth": self._queue_depth,
-            "slot_rows": self._slot_rows,
-            "start_method": self._start_method,
-        }
+        return {"backend": self.backend_name}
 
     def _state_tree(self) -> dict:
         from ..checkpoint.state import rng_state
@@ -694,7 +520,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             # Quiesce: apply every queued insert before cutting the snapshot,
             # so coordinator counters and shard states describe the same
             # stream position.  (_shard_trees below captures the workers.)
-            self._with_recovery(self._backend.sync)
+            self._broadcast("sync")
             return {
                 "points_seen": self._points_seen,
                 "dimension": self._dimension,
@@ -707,7 +533,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
     def _shard_trees(self) -> list[dict]:
         with self._elastic_lock:
             self._require_open()
-            return self._with_recovery(self._backend.dump_states)
+            return self._broadcast("state_dump")
 
     @classmethod
     def _from_checkpoint(cls, manifest, state, shards, **overrides):
@@ -728,7 +554,12 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
                 f"checkpoint holds {0 if shards is None else len(shards)} shard "
                 f"sub-snapshots but the manifest declares {num_shards} shards"
             )
-        backend = overrides.get("backend") or runtime.get("backend", "serial")
+        backend = overrides.get("backend") or runtime.get("backend")
+        if backend not in BACKENDS and "backend" not in overrides:
+            # A transport this release no longer has (older releases had a
+            # third one): shard state is transport-independent, so restore
+            # on the inline reference.
+            backend = "serial"
         engine = cls(
             streaming_config_from_dict(config_tree["streaming"]),
             num_shards=num_shards,
@@ -736,9 +567,6 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             backend=backend,
             structure=config_tree["structure"],
             nesting_depth=int(config_tree["nesting_depth"]),
-            queue_depth=int(runtime.get("queue_depth", 8)),
-            slot_rows=runtime.get("slot_rows"),
-            start_method=runtime.get("start_method") if backend == "process" else None,
         )
         try:
             engine._points_seen = int(state["points_seen"])
@@ -749,7 +577,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
             engine._rng = rng_from_state(state["rng"])
             engine._engine.load_state(state["engine"])
             engine._router.load_state(state["router"])
-            engine._backend.load_states(shards)
+            engine._backend.call("state_load", dict(enumerate(shards)))
         except BaseException:
             engine.close()
             raise
@@ -758,7 +586,7 @@ class ShardedEngine(CoresetServingMixin, StreamingClusterer):
     # -- compatibility -------------------------------------------------------
 
     def _route(self, point: np.ndarray) -> int:
-        """Shard index for one point (kept for the simulation-era API).
+        """Shard index one point would be routed to (diagnostics and tests).
 
         The row is coerced to the configured storage dtype BEFORE routing —
         the same coercion :meth:`insert` applies — so under

@@ -44,7 +44,7 @@ ROUTING_POLICIES: tuple[str, ...] = ("round_robin", "hash", "random")
 # Offset applied to the coordinator seed for the random-routing generator so
 # routing draws never reuse the shards' sampling streams (pre-dates the
 # SeedSequence scheme; kept so random routing decisions stay reproducible
-# against the simulation-era DistributedCoordinator).
+# across releases).
 _ROUTE_SEED_OFFSET = 10_007
 
 # Virtual buckets per shard for hash routing.  The identity-mod default table

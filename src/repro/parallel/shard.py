@@ -1,10 +1,10 @@
 """The shard worker: one clustering structure plus its partial base bucket.
 
 A :class:`StreamShard` is the unit of work behind every backend: the serial
-backend calls it inline, the thread backend gives each shard its own worker
-thread, and the process backend builds one inside each worker process (the
-construction arguments — config, index, seed, structure name — are all
-picklable, so shards never cross process boundaries themselves).
+backend calls it inline and the process backend builds one inside each
+worker process (the construction arguments — config, index, seed, structure
+name — are all picklable, so shards never cross process boundaries
+themselves).
 
 Shards communicate with the coordinator through :class:`ShardSnapshot`: the
 shard-local coreset (Observation 1: the union of per-shard coresets is a

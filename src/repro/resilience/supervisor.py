@@ -171,7 +171,7 @@ class IngestSupervisor:
         Stream-identity annotations stamped into every checkpoint.
     restore_overrides:
         Forwarded to ``load_checkpoint`` during recovery (e.g.
-        ``backend="thread"``).
+        ``backend="process"``).
     wal_write_hook:
         Chaos seam forwarded to every :class:`WriteAheadLog` incarnation.
     """

@@ -318,7 +318,7 @@ class ServingPlane:
         """Rebuild a plane from a checkpoint and republish immediately.
 
         ``overrides`` pass through to the checkpoint restore (e.g.
-        ``backend="thread"`` for a sharded engine).  The restored plane's
+        ``backend="process"`` for a sharded engine).  The restored plane's
         first published version is 1 — snapshot versions are a property of
         the serving session, not of the stream.
         """

@@ -192,12 +192,12 @@ class TestScalingProfile:
         profile = scaling_profile(
             small_stream,
             shard_counts=(1, 2),
-            backends=("serial", "thread"),
+            backends=("serial", "process"),
             k=4,
             coreset_size=100,
             seed=0,
         )
-        assert set(profile) == {"serial", "thread"}
+        assert set(profile) == {"serial", "process"}
         for backend in profile:
             assert set(profile[backend]) == {1, 2}
             for cell in profile[backend].values():

@@ -5,8 +5,8 @@ algorithm; the round-trip property tests iterate it so a newly registered
 algorithm is automatically covered (a test asserts the factory table and the
 checkpoint registry stay in sync).
 
-The sharded tests reuse the parallel suite's ``REPRO_TEST_BACKENDS``
-environment knob so CI can bound runtime per job.  Fixtures live in the
+The sharded tests reuse the shared ``REPRO_TEST_BACKENDS`` matrix
+(``tests/backend_matrix.py``) so CI can bound runtime per job.  Fixtures live in the
 sibling ``conftest.py``.
 """
 
@@ -79,13 +79,6 @@ ALGORITHM_FACTORIES = {
         KMedianConfig(k=3, coreset_size=40, n_init=2, max_iterations=4, seed=seed)
     ),
 }
-
-
-def enabled_backends() -> tuple[str, ...]:
-    """Executor backends selected via ``REPRO_TEST_BACKENDS`` (default: all)."""
-    raw = os.environ.get("REPRO_TEST_BACKENDS", "serial,thread,process")
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
-    return names or ("serial",)
 
 
 def make_checkpoint_stream() -> np.ndarray:

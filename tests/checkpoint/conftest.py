@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _checkpoint_utils import enabled_backends, make_checkpoint_stream
+from _checkpoint_utils import make_checkpoint_stream
+from backend_matrix import enabled_backends
 
 
 @pytest.fixture(params=enabled_backends())

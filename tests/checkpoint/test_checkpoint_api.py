@@ -219,7 +219,7 @@ class TestHarnessIntegration:
                 config,
                 schedule=schedule,
                 shards=3,
-                backend="thread",
+                backend="process",
                 resume_from=tmp_path / "half",
             ),
             checkpoint_stream[700:],

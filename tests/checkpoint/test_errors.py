@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import (
@@ -245,22 +246,53 @@ class TestShardedErrors:
         with pytest.raises(CheckpointError, match="shard"):
             load_checkpoint(sharded_checkpoint)
 
+    @pytest.mark.parametrize("override", [None, "serial", "process"])
+    def test_retired_thread_backend_checkpoint_restores(
+        self, tmp_path, checkpoint_stream, override
+    ):
+        """Checkpoints from releases with a thread backend still restore.
+
+        Their manifests record ``backend: "thread"`` plus the queue knobs
+        that were settable then.  Shard state is transport-independent, so
+        they restore on the serial reference (or the caller's override) and
+        continue bit-identically.
+        """
+        config = small_streaming_config(5)
+        head, tail = checkpoint_stream[:600], checkpoint_stream[600:900]
+        with ShardedEngine(config, num_shards=3) as engine:
+            engine.insert_batch(head)
+            path = save_checkpoint(engine, tmp_path / "legacy")
+            engine.insert_batch(tail)
+            expected = engine.query().centers
+        _edit_manifest(
+            path,
+            lambda m: m["runtime"].update(
+                backend="thread", queue_depth=8, slot_rows=1024, start_method=None
+            ),
+        )
+        overrides = {} if override is None else {"backend": override}
+        restored = load_checkpoint(path, **overrides)
+        try:
+            assert restored.backend_name == (override or "serial")
+            restored.insert_batch(tail)
+            np.testing.assert_array_equal(restored.query().centers, expected)
+        finally:
+            restored.close()
+
     def test_unknown_override_rejected(self, sharded_checkpoint):
         with pytest.raises(CheckpointError, match="backend"):
             load_checkpoint(sharded_checkpoint, bogus_option=True)
 
     def test_single_clusterer_rejects_overrides(self, checkpoint):
         with pytest.raises(CheckpointError, match="no restore overrides"):
-            load_checkpoint(checkpoint, backend="thread")
+            load_checkpoint(checkpoint, backend="process")
 
     def test_class_mismatch_restore_closes_engine(self, sharded_checkpoint):
         # Regression: restore() used to leak the fully constructed engine
-        # (live worker threads/processes) when the class check failed.
-        import threading
+        # (live worker processes) when the class check failed.
+        import multiprocessing
 
+        before = set(multiprocessing.active_children())
         with pytest.raises(CheckpointError, match="not a CoresetTreeClusterer"):
-            CoresetTreeClusterer.restore(sharded_checkpoint, backend="thread")
-        leftovers = [
-            t.name for t in threading.enumerate() if t.name.startswith("shard-")
-        ]
-        assert leftovers == []
+            CoresetTreeClusterer.restore(sharded_checkpoint, backend="process")
+        assert set(multiprocessing.active_children()) <= before

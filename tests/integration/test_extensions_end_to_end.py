@@ -9,9 +9,9 @@ from repro.core.driver import CachedCoresetTreeClusterer
 from repro.data.drift import RBFDriftGenerator, RBFDriftSpec
 from repro.data.loaders import load_intrusion, load_power
 from repro.extensions.decay import DecayedCoresetClusterer, SlidingWindowClusterer
-from repro.extensions.distributed import DistributedCoordinator
 from repro.extensions.kmedian import KMedianCachedClusterer, KMedianConfig, kmedian_cost
 from repro.kmeans.cost import kmeans_cost
+from repro.parallel import ShardedEngine
 
 
 class TestKMedianOnRealisticData:
@@ -96,20 +96,20 @@ class TestDistributedOnRealisticData:
         central.insert_many(info.points)
         central_cost = kmeans_cost(info.points, central.query().centers)
 
-        sharded = DistributedCoordinator(config, num_shards=num_shards)
-        sharded.insert_many(info.points)
-        sharded_cost = kmeans_cost(info.points, sharded.query().centers)
+        with ShardedEngine(config, num_shards=num_shards) as sharded:
+            sharded.insert_many(info.points)
+            sharded_cost = kmeans_cost(info.points, sharded.query().centers)
 
         assert sharded_cost <= 1.75 * central_cost
 
     def test_query_between_bucket_boundaries(self):
         info = load_power(num_points=2500, seed=8)
-        coordinator = DistributedCoordinator(
+        with ShardedEngine(
             StreamingConfig(k=6, coreset_size=150, n_init=2, lloyd_iterations=5, seed=0),
             num_shards=3,
-        )
-        for start in range(0, 2500, 500):
-            coordinator.insert_many(info.points[start : start + 500])
-            result = coordinator.query()
-            assert result.centers.shape == (6, info.dimension)
-            assert result.coreset_points > 0
+        ) as engine:
+            for start in range(0, 2500, 500):
+                engine.insert_many(info.points[start : start + 500])
+                result = engine.query()
+                assert result.centers.shape == (6, info.dimension)
+                assert result.coreset_points > 0

@@ -1,11 +1,8 @@
 """Shared fixtures for the parallel-engine test battery.
 
-Two environment knobs keep CI runtime bounded (see ``.github/workflows/ci.yml``):
+``REPRO_TEST_BACKENDS`` and ``REPRO_TEST_SHARDS`` select the backend matrix
+(see ``tests/backend_matrix.py``); one more knob is local to this battery:
 
-* ``REPRO_TEST_BACKENDS`` — comma-separated subset of
-  ``serial,thread,process`` to exercise (default: all three);
-* ``REPRO_TEST_SHARDS`` — shard count used by the parametrized tests
-  (default: 3);
 * ``REPRO_TEST_SKETCH`` — when truthy, the shared configuration enables JL
   sketching (``sketch_dim=3`` against the 5-dimensional stream), so the whole
   battery — cross-backend equivalence, snapshots, global queries — exercises
@@ -21,17 +18,7 @@ import pytest
 
 from repro.core.base import StreamingConfig
 
-
-def enabled_backends() -> tuple[str, ...]:
-    """The executor backends selected via ``REPRO_TEST_BACKENDS``."""
-    raw = os.environ.get("REPRO_TEST_BACKENDS", "serial,thread,process")
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
-    return names or ("serial",)
-
-
-def num_test_shards() -> int:
-    """The shard count selected via ``REPRO_TEST_SHARDS`` (default 3)."""
-    return max(2, int(os.environ.get("REPRO_TEST_SHARDS", "3")))
+from backend_matrix import enabled_backends, num_test_shards
 
 
 @pytest.fixture(params=enabled_backends())

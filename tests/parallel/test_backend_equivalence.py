@@ -1,17 +1,15 @@
-"""Cross-backend equivalence: serial, thread, and process must agree bitwise.
+"""Cross-backend equivalence: serial and process must agree bitwise.
 
 The engine's design makes shard state a pure function of (config seed, shard
 seed, routed point sequence): routing happens coordinator-side, each shard's
-work queue is FIFO, and merge randomness is span-keyed.  So all three
-executor backends must produce *identical* shard coresets and query answers
-— any divergence means ordering, copying, or seeding broke.  The serial
-backend doubles as the reference for the simulation-era
-``DistributedCoordinator`` semantics.
+work queue is FIFO, and merge randomness is span-keyed.  So both executor
+backends must produce *identical* shard coresets and query answers — any
+divergence means ordering, copying, or seeding broke.  The inline serial
+backend is the reference.
 """
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -20,12 +18,10 @@ from hypothesis import strategies as st
 from repro.core.base import StreamingConfig
 from repro.parallel import ShardedEngine
 
-_BACKENDS = tuple(
-    name.strip()
-    for name in os.environ.get("REPRO_TEST_BACKENDS", "serial,thread,process").split(",")
-    if name.strip()
-)
-_SHARDS = max(2, int(os.environ.get("REPRO_TEST_SHARDS", "3")))
+from backend_matrix import enabled_backends, num_test_shards
+
+_BACKENDS = enabled_backends()
+_SHARDS = num_test_shards()
 
 
 def _config(seed: int) -> StreamingConfig:

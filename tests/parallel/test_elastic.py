@@ -1,18 +1,16 @@
-"""Elasticity battery: live resharding, migration, crash recovery, routing dtype.
+"""Elasticity battery: live resharding, migration, routing dtype.
 
 Covers the elastic-sharding contract end to end: N→M reshards are lossless
 (the redistributed union coreset is the same multiset, ``points_seen``
 accounting is exact, partial-bucket tails survive), post-reshard query
 quality stays within the golden 1.10x geomean bound, load-driven migration
-moves coreset mass and virtual routing buckets together, a killed
-process-backend worker is transparently restarted from its recovery point
-with the journal tail replayed, and the ``_route``/storage-dtype regression
-stays fixed.
+moves coreset mass and virtual routing buckets together, and the
+``_route``/storage-dtype regression stays fixed.  Surviving a killed worker
+is the supervisor's job (``tests/resilience/test_worker_loss.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -26,31 +24,18 @@ from repro.checkpoint import load_checkpoint
 from repro.core.base import StreamingConfig
 from repro.data.loaders import load_dataset
 from repro.kmeans.cost import kmeans_cost
-from repro.parallel import (
-    RebalancePolicy,
-    ShardedEngine,
-    ShardWorkerError,
-    apportion_points,
-)
+from repro.parallel import RebalancePolicy, ShardedEngine, apportion_points
 from repro.parallel.routing import make_router
-from repro.parallel.shard import StreamShard
 from repro.queries.schedule import FixedIntervalSchedule
 from repro.serving.plane import ServingPlane
 
-_SHARDS = max(2, int(os.environ.get("REPRO_TEST_SHARDS", "3")))
-_BACKENDS = tuple(
-    name.strip()
-    for name in os.environ.get("REPRO_TEST_BACKENDS", "serial,thread,process").split(",")
-    if name.strip()
-)
+from backend_matrix import enabled_backends, num_test_shards
+
+_SHARDS = num_test_shards()
 
 needs_process = pytest.mark.skipif(
-    "process" not in _BACKENDS,
+    "process" not in enabled_backends(),
     reason="process backend disabled via REPRO_TEST_BACKENDS",
-)
-needs_thread = pytest.mark.skipif(
-    "thread" not in _BACKENDS,
-    reason="thread backend disabled via REPRO_TEST_BACKENDS",
 )
 
 
@@ -70,26 +55,6 @@ def _sorted_union(engine: ShardedEngine) -> np.ndarray:
         ]
     )
     return rows[np.lexsort(rows.T)]
-
-
-class FailingShard(StreamShard):
-    """Shard that blows up once it has seen more than ``FAIL_AFTER`` points.
-
-    The failure is deterministic in ``points_seen``, so a recovery replay
-    re-triggers it — exactly the case the ``max_restarts`` budget exists for.
-    """
-
-    FAIL_AFTER = 120
-
-    def insert_batch(self, points):  # noqa: D102 - inherited behaviour + fault
-        if self.points_seen + np.asarray(points).shape[0] > self.FAIL_AFTER:
-            raise RuntimeError("injected shard failure")
-        super().insert_batch(points)
-
-
-def failing_factory(config, shard_index, seed, structure, **kwargs):
-    """Module-level factory (picklable) producing :class:`FailingShard`."""
-    return FailingShard(config, shard_index, seed=seed, structure=structure)
 
 
 class TestReshardCorrectness:
@@ -312,136 +277,6 @@ class TestMigration:
             RebalancePolicy(fraction=0.0)
 
 
-class TestCrashRecovery:
-    @needs_process
-    def test_killed_process_worker_recovers_and_converges(
-        self, parallel_config, stream_points
-    ):
-        """Kill a worker mid-stream: the engine restarts it, replays the
-        journal tail, keeps exact accounting, and still converges."""
-        with ShardedEngine(
-            parallel_config, num_shards=2, backend="serial"
-        ) as reference:
-            reference.insert_batch(stream_points)
-            reference_cost = kmeans_cost(stream_points, reference.query().centers)
-
-        engine = ShardedEngine(
-            parallel_config,
-            num_shards=2,
-            backend="process",
-            auto_recover=True,
-            recovery_interval=256,
-            max_restarts=2,
-        )
-        try:
-            for offset in range(0, 1500, 250):
-                engine.insert_batch(stream_points[offset : offset + 250])
-            engine.flush()
-            victim = engine._backend._processes[1]
-            victim.terminate()
-            victim.join(timeout=10.0)
-            for offset in range(1500, 3000, 250):
-                engine.insert_batch(stream_points[offset : offset + 250])
-            result = engine.query()
-            assert engine.points_seen == 3000
-            assert sum(engine.shard_loads()) == 3000
-            events = engine.recovery_events
-            assert events, "killed worker was never recovered"
-            assert events[0].shard_index == 1
-            assert events[0].restarts == 1
-            cost = kmeans_cost(stream_points, result.centers)
-            assert np.isfinite(cost)
-            assert cost <= 1.5 * reference_cost
-        finally:
-            engine.close()
-
-    @needs_process
-    def test_repeated_kills_never_wedge_other_shards(
-        self, parallel_config, stream_points
-    ):
-        """Kill workers right after a barrier, repeatedly, alternating shards.
-
-        Regression: replies used to travel over ONE queue shared by all
-        workers, so a worker terminated in the window between its barrier
-        reply landing and its feeder thread releasing the queue's write
-        lock left that lock held forever — and the next barrier on any
-        OTHER shard stalled.  Per-worker reply pipes confine a kill at any
-        instant to the dead worker's own channel.
-        """
-        engine = ShardedEngine(
-            parallel_config,
-            num_shards=2,
-            backend="process",
-            auto_recover=True,
-            recovery_interval=128,
-            max_restarts=20,
-        )
-        try:
-            offset = 0
-            for cycle in range(6):
-                for _ in range(3):
-                    engine.insert_batch(stream_points[offset : offset + 100])
-                    offset += 100
-                # flush() returns the instant the sync replies arrive —
-                # terminating right here maximizes the chance of hitting a
-                # worker that is still inside its reply send path.
-                engine.flush()
-                victim = engine._backend._processes[cycle % 2]
-                victim.terminate()
-                victim.join(timeout=10.0)
-            engine.flush()
-            result = engine.query()
-            assert result.centers.shape[0] == parallel_config.k
-            assert engine.points_seen == offset
-            assert sum(engine.shard_loads()) == offset
-            assert engine.recovery_events
-        finally:
-            engine.close()
-
-    @needs_thread
-    def test_deterministic_failure_exhausts_restart_budget(self, parallel_config):
-        """A fault the journal replay re-triggers surfaces after max_restarts."""
-        engine = ShardedEngine(
-            parallel_config,
-            num_shards=2,
-            backend="thread",
-            queue_depth=2,
-            shard_factory=failing_factory,
-            auto_recover=True,
-            recovery_interval=64,
-            max_restarts=1,
-        )
-        try:
-            points = np.random.default_rng(6).normal(size=(600, 3))
-            with pytest.raises(ShardWorkerError):
-                for offset in range(0, 600, 30):
-                    engine.insert_batch(points[offset : offset + 30])
-                engine.flush()
-            assert all(
-                event.restarts <= 1 for event in engine.recovery_events
-            )
-        finally:
-            engine.close()
-
-    def test_serial_backend_failures_stay_inline(self, parallel_config):
-        """Serial shards run in the caller; auto_recover never masks them."""
-        engine = ShardedEngine(
-            parallel_config,
-            num_shards=2,
-            backend="serial",
-            shard_factory=failing_factory,
-            auto_recover=True,
-        )
-        try:
-            points = np.random.default_rng(7).normal(size=(600, 3))
-            with pytest.raises(RuntimeError, match="injected shard failure"):
-                for offset in range(0, 600, 30):
-                    engine.insert_batch(points[offset : offset + 30])
-            assert engine.recovery_events == []
-        finally:
-            engine.close()
-
-
 class TestHarnessAndServing:
     def test_harness_reshard_schedule(self, stream_points):
         config = StreamingConfig(
@@ -472,10 +307,10 @@ class TestHarnessAndServing:
                 stream_points[:200],
             )
 
-    @needs_thread
+    @needs_process
     def test_serving_plane_reshard_during_reads(self, parallel_config, stream_points):
         """A reader keeps answering while the writer reshards underneath it."""
-        engine = ShardedEngine(parallel_config, num_shards=2, backend="thread")
+        engine = ShardedEngine(parallel_config, num_shards=2, backend="process")
         with ServingPlane(engine) as plane:
             plane.ingest(stream_points[:600])
             reader = plane.reader()

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.base import StreamingConfig
 from repro.core.driver import CachedCoresetTreeClusterer, StreamClusterDriver
-from repro.extensions.distributed import DistributedCoordinator
 from repro.kmeans.cost import kmeans_cost
 from repro.parallel import ShardedEngine
 
@@ -118,6 +118,26 @@ class TestQueries:
             cost = kmeans_cost(stream_points, result.centers)
             assert np.isfinite(cost) and cost > 0
 
+    @pytest.mark.parametrize("routing", ["round_robin", "random"])
+    def test_query_recovers_planted_centers(self, blob_points, blob_centers, routing):
+        config = StreamingConfig(k=4, coreset_size=50, n_init=2, lloyd_iterations=5, seed=0)
+        with ShardedEngine(config, num_shards=4, routing=routing) as engine:
+            engine.insert_batch(blob_points)
+            result = engine.query()
+        assert result.centers.shape == (4, 4)
+        cost = kmeans_cost(blob_points, result.centers)
+        assert cost <= 3.0 * kmeans_cost(blob_points, blob_centers)
+
+    def test_sharding_keeps_single_shard_quality(self, blob_points):
+        """Four shards answer within 2x the cost of one shard (Observation 1)."""
+        config = StreamingConfig(k=4, coreset_size=50, n_init=2, lloyd_iterations=5, seed=0)
+        costs = []
+        for num_shards in (1, 4):
+            with ShardedEngine(config, num_shards=num_shards) as engine:
+                engine.insert_batch(blob_points)
+                costs.append(kmeans_cost(blob_points, engine.query().centers))
+        assert costs[1] <= 2.0 * costs[0]
+
     def test_warm_start_on_repeat_queries(self, parallel_config, stream_points):
         with ShardedEngine(parallel_config, num_shards=2) as engine:
             engine.insert_batch(stream_points[:1500])
@@ -160,32 +180,3 @@ class TestQueries:
             per_shard = [shard.stored_points() for shard in engine.shards]
             assert engine.stored_points() == sum(per_shard)
             assert all(points > 0 for points in per_shard)
-
-
-class TestDistributedCoordinatorRebase:
-    def test_serial_default_and_api(self, parallel_config):
-        coordinator = DistributedCoordinator(parallel_config, num_shards=2)
-        assert coordinator.backend_name == "serial"
-        assert coordinator.structure_name == "cc"
-        assert isinstance(coordinator, ShardedEngine)
-
-    def test_coordinator_matches_engine_bitwise(self, parallel_config, stream_points):
-        """The rebased coordinator is exactly a serial CC ShardedEngine."""
-        coordinator = DistributedCoordinator(parallel_config, num_shards=3)
-        engine = ShardedEngine(parallel_config, num_shards=3, backend="serial")
-        for offset in range(0, 1500, 400):
-            block = stream_points[offset : offset + 400]
-            coordinator.insert_batch(block)
-            engine.insert_batch(block)
-        left = coordinator.query()
-        right = engine.query()
-        assert np.array_equal(left.centers, right.centers)
-        assert left.coreset_points == right.coreset_points
-
-    def test_coordinator_on_parallel_backend(self, parallel_config, stream_points, backend):
-        with DistributedCoordinator(
-            parallel_config, num_shards=2, backend=backend
-        ) as coordinator:
-            coordinator.insert_batch(stream_points[:800])
-            result = coordinator.query()
-            assert result.centers.shape == (4, 5)

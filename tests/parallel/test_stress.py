@@ -3,12 +3,10 @@
 Covers the failure modes a real parallel engine must not have: racy small
 batches interleaved with queries, worker exceptions that must surface at
 ``insert_batch``/``query`` instead of hanging the coordinator, and shutdown
-that never leaves live worker threads or processes behind.
+that never leaves live worker processes behind.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -19,7 +17,9 @@ from repro.kmeans.cost import kmeans_cost
 from repro.parallel import ShardedEngine, ShardWorkerError
 from repro.parallel.shard import StreamShard
 
-_SHARDS = max(2, int(os.environ.get("REPRO_TEST_SHARDS", "3")))
+from backend_matrix import num_test_shards
+
+_SHARDS = num_test_shards()
 
 
 class FailingShard(StreamShard):
@@ -49,13 +49,19 @@ def short_stall_timeout(monkeypatch):
     monkeypatch.setattr(backends_module, "_STALL_TIMEOUT", 20.0)
 
 
+@pytest.fixture(autouse=True)
+def shallow_queues(monkeypatch):
+    """Two-slot slab rings: the coordinator blocks as soon as a shard lags."""
+    monkeypatch.setattr(backends_module, "_QUEUE_DEPTH", 2)
+
+
 class TestRacyInterleaving:
     def test_many_small_batches_with_queries(self, stress_config, backend):
         """Dozens of tiny ragged batches racing shard merges and queries."""
         rng = np.random.default_rng(3)
         points = rng.normal(scale=4.0, size=(1700, 3))
         with ShardedEngine(
-            stress_config, num_shards=_SHARDS, backend=backend, queue_depth=2
+            stress_config, num_shards=_SHARDS, backend=backend
         ) as engine:
             offset = 0
             costs = []
@@ -77,7 +83,7 @@ class TestRacyInterleaving:
         rng = np.random.default_rng(4)
         points = rng.normal(size=(300, 3))
         with ShardedEngine(
-            stress_config, num_shards=_SHARDS, backend=backend, queue_depth=2
+            stress_config, num_shards=_SHARDS, backend=backend
         ) as engine:
             for index, row in enumerate(points):
                 engine.insert(row)
@@ -95,7 +101,6 @@ class TestFaultInjection:
             stress_config,
             num_shards=2,
             backend=backend,
-            queue_depth=2,
             shard_factory=failing_factory,
         )
         try:
@@ -117,7 +122,6 @@ class TestFaultInjection:
             stress_config,
             num_shards=2,
             backend=backend,
-            queue_depth=4,
             shard_factory=failing_factory,
         )
         try:
@@ -134,7 +138,7 @@ class TestFaultInjection:
 
     def test_killed_worker_process_is_detected(self, stress_config):
         engine = ShardedEngine(
-            stress_config, num_shards=2, backend="process", queue_depth=2
+            stress_config, num_shards=2, backend="process"
         )
         try:
             points = np.random.default_rng(7).normal(size=(200, 3))
@@ -173,20 +177,11 @@ class TestCleanShutdown:
         engine.close()
         assert all(not worker.is_alive() for worker in workers)
 
-    def test_no_live_threads_after_close(self, stress_config):
-        engine = ShardedEngine(stress_config, num_shards=2, backend="thread")
-        engine.insert_batch(np.random.default_rng(11).normal(size=(300, 3)))
-        engine.query()
-        workers = list(engine._backend._workers)
-        engine.close()
-        assert all(not worker.is_alive() for worker in workers)
-
     def test_close_after_worker_error(self, stress_config, backend):
         engine = ShardedEngine(
             stress_config,
             num_shards=2,
             backend=backend,
-            queue_depth=2,
             shard_factory=failing_factory,
         )
         points = np.random.default_rng(12).normal(size=(500, 3))

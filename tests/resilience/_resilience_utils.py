@@ -8,14 +8,13 @@ a *supervised* run must reach the exact same state — bit for bit — no
 matter where it crashed, because restore-from-checkpoint plus WAL replay
 reproduces that same insert/publish history.
 
-``REPRO_TEST_BACKENDS`` bounds the sharded matrix per CI job exactly as in
-the checkpoint battery; ``REPRO_CHAOS_SEED`` reseeds every storm-driven
+``REPRO_TEST_BACKENDS`` bounds the sharded matrix per CI job
+(``tests/backend_matrix.py``); ``REPRO_CHAOS_SEED`` reseeds every storm-driven
 test so the CI matrix explores different fault schedules per lane.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +36,6 @@ PLANE_ALGORITHMS = {
     "cc": lambda config: CachedCoresetTreeClusterer(config),
     "rcc": lambda config: RecursiveCachedClusterer(config, nesting_depth=2),
 }
-
-
-def enabled_backends() -> tuple[str, ...]:
-    """Executor backends selected via ``REPRO_TEST_BACKENDS`` (default: all)."""
-    raw = os.environ.get("REPRO_TEST_BACKENDS", "serial,thread,process")
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
-    return names or ("serial",)
 
 
 def small_config(seed: int = 7, dtype: str = "float64") -> StreamingConfig:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.resilience import chaos_seed_from_env
 
-from _resilience_utils import enabled_backends, make_batches
+from _resilience_utils import make_batches
+from backend_matrix import enabled_backends
 
 
 @pytest.fixture(params=enabled_backends())

@@ -26,8 +26,9 @@ from _resilience_utils import (
     reference_state,
 )
 
-#: kill_worker is exercised via the sharded variant; the single-process
-#: storm uses the in-process fault kinds.
+#: Every storm here, the sharded one included, uses the in-process fault
+#: kinds; kill_worker needs a live process worker to terminate and is fired
+#: by tests/resilience/test_worker_loss.py.
 SOLO_KINDS = ("crash_before_insert", "torn_wal", "disk_full", "corrupt_checkpoint")
 
 

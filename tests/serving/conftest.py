@@ -2,7 +2,7 @@
 
 The plane tests run against every clusterer shape the plane supports: a
 plain driver, a sharded engine on the serial backend, and a sharded engine
-on the thread backend (real cross-thread worker traffic under the ingest
+on the process backend (real cross-process worker traffic under the ingest
 lock).  ``REPRO_SERVING_READERS`` scales the concurrent-reader tests — the
 CI serving job runs the suite at two different values.
 """

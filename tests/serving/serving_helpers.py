@@ -21,7 +21,7 @@ READER_COUNT = max(1, int(os.environ.get("REPRO_SERVING_READERS", "4")))
 #: The stress/soak tests always use at least 8 readers (the ISSUE floor).
 STRESS_READERS = max(8, READER_COUNT)
 
-PLANE_KINDS = ("driver", "sharded-serial", "sharded-thread")
+PLANE_KINDS = ("driver", "sharded-serial", "sharded-process")
 
 
 def build_clusterer(config: StreamingConfig, kind: str):

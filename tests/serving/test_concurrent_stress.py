@@ -113,7 +113,7 @@ def replay(retained, histories, engine_factory):
                 assert result.cost == solution.cost
 
 
-@pytest.mark.parametrize("kind", ["driver", "sharded-thread"])
+@pytest.mark.parametrize("kind", ["driver", "sharded-process"])
 def test_concurrent_readers_serve_replayable_snapshots(kind):
     publisher, retained, histories, engine_factory = run_stress(
         kind, batches=25, retain=True

@@ -10,7 +10,7 @@ identically-seeded engine against the retained snapshots — demanding
 bitwise-equal centers and costs.
 
 Runs against the plain driver and against the sharded engine on both the
-serial and the thread backend (100 examples each).
+serial and the process backend (100 examples each).
 """
 
 from __future__ import annotations

@@ -80,13 +80,13 @@ class TestCommands:
                 "--shards",
                 "2",
                 "--backend",
-                "thread",
+                "process",
             ]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Run summary" in out
-        assert "ccx2[thread]" in out
+        assert "ccx2[process]" in out
 
     def test_run_sharded_rejects_non_tree_algorithms(self):
         with pytest.raises(ValueError):
@@ -176,13 +176,8 @@ class TestElasticFlags:
                 "500",
                 "--shards",
                 "2",
-                "--backend",
-                "thread",
                 "--reshard-at",
                 "600:4",
-                "--auto-recover",
-                "--recovery-interval",
-                "512",
             ]
         )
         assert exit_code == 0

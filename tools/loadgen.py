@@ -11,7 +11,7 @@ Usage::
     PYTHONPATH=src python tools/loadgen.py --clients 50 --seconds 5
     PYTHONPATH=src python tools/loadgen.py --mode plane --readers 4 \
         --rate 500 --burst --seconds 10
-    PYTHONPATH=src python tools/loadgen.py --shards 4 --backend thread \
+    PYTHONPATH=src python tools/loadgen.py --shards 4 --backend process \
         --clients 200 --rate 1000 --json report.json
 """
 
@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--num-points", type=int, default=20_000)
     parser.add_argument("--k", type=int, default=20, help="config k (coreset sizing)")
     parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--backend", choices=("serial", "thread", "process"),
-                        default="thread")
+    parser.add_argument("--backend", choices=("serial", "process"),
+                        default="serial")
     parser.add_argument("--batch-size", type=int, default=500,
                         help="writer-plane ingest batch size")
     parser.add_argument("--max-pending", type=int, default=64,

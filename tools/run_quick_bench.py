@@ -9,7 +9,7 @@ ingest and merge paths, a high-dimensional (d=128, k=50) workload with
 and without JL sketching, a serving-plane workload (reader p99 latency
 under live ingest and with ingest paused, plus mean snapshot staleness),
 the elastic plane's live-reshard pause (quiesce-to-resume wall time of
-a 4→8 reshard on the thread backend), the scenario algorithms
+a 4→8 reshard on the serial backend), the scenario algorithms
 (sliding-window ingest throughput with live bucket expiry, and the soft
 clusterer's fuzzy-refined query latency), and the durable-ingest path
 (per-batch write-ahead-journal append cost, journal replay rate, and a
@@ -241,11 +241,13 @@ def _measure_serving(points: np.ndarray, repeats: int) -> dict[str, float]:
 
 
 def _measure_reshard_pause(points: np.ndarray, repeats: int) -> float:
-    """Best-of-``repeats`` live-reshard pause in ms (4→8 shards, thread backend).
+    """Best-of-``repeats`` live-reshard pause in ms (4→8 shards, serial backend).
 
     The pause is the engine-reported quiesce-to-resume window during which
-    ingest is blocked: the sync barrier, the cross-shard coreset collect, the
-    backend teardown/rebuild, and the adoption of the redistributed pieces.
+    ingest is blocked: the cross-shard coreset collect, the backend
+    teardown/rebuild, and the adoption of the redistributed pieces.  The
+    serial backend keeps worker start-up out of the number, so it measures
+    the reshard itself.
     This is the elastic plane's headline latency — a regression here means
     live reshards stall the writer.
     """
@@ -256,7 +258,7 @@ def _measure_reshard_pause(points: np.ndarray, repeats: int) -> float:
         with ShardedEngine(
             StreamingConfig(k=K, seed=0),
             num_shards=RESHARD_FROM,
-            backend="thread",
+            backend="serial",
         ) as engine:
             engine.insert_batch(points[:RESHARD_POINTS])
             engine.flush()
